@@ -11,41 +11,8 @@ import json
 import sys
 import time
 
-from expanderlp import (
-    TABLE_SPECS,
-    build,
-    certificate_from_spectrum,
-    check_attainment,
-    girth_bfs,
-    lp_bound_dual,
-    regularity,
-    spectrum,
-)
-
-
-def gather_rows():
-    rows = []
-    for spec in TABLE_SPECS:
-        g = build(spec)
-        k = regularity(g)
-        sp = spectrum(g)
-        sol = lp_bound_dual(k, sp.nontrivial, 2 * sp.d - 1)
-        cert = certificate_from_spectrum(k, sp.nontrivial)
-        att = check_attainment(g, cert)
-        rows.append(
-            {
-                "family": str(spec),
-                "v": g.n,
-                "k": k,
-                "girth": girth_bfs(g),
-                "d": sp.d,
-                "spectrum": [[e, m] for e, m in sp.entries],
-                "lp_bound": None if sol.objective is None else float(sol.objective),
-                "certificate": [float(c) for c in cert.poly.coeffs],
-                "tight": att.tight,
-            }
-        )
-    return rows
+from expanderlp import TABLE_SPECS
+from expanderlp.certify import catalog_row
 
 
 def main() -> int:
@@ -54,24 +21,24 @@ def main() -> int:
     args = parser.parse_args()
 
     start = time.monotonic()
-    rows = gather_rows()
+    rows = [catalog_row(spec) for spec in TABLE_SPECS]
     elapsed = time.monotonic() - start
 
     if args.json:
         print(json.dumps({"rows": rows, "seconds": round(elapsed, 3)}, indent=2))
     else:
-        width = max(len(r["family"]) for r in rows)
+        width = max(len(r["name"]) for r in rows)
         print(f"{'family':>{width}} {'v':>4} {'k':>2} {'girth':>5} {'d':>2} {'bound':>9} tight")
         for r in rows:
-            bound = "-" if r["lp_bound"] is None else f"{r['lp_bound']:.4f}"
+            bound = "-" if r["bound"] is None else f"{r['bound']:.4f}"
             mark = "yes" if r["tight"] else "NO"
             print(
-                f"{r['family']:>{width}} {r['v']:>4} {r['k']:>2} {r['girth']:>5} "
+                f"{r['name']:>{width}} {r['v']:>4} {r['k']:>2} {r['girth']:>5} "
                 f"{r['d']:>2} {bound:>9} {mark}"
             )
         print(f"rebuilt {len(rows)} families in {elapsed:.2f}s")
 
-    bad = [r["family"] for r in rows if not r["tight"]]
+    bad = [r["name"] for r in rows if not r["tight"]]
     if bad:
         print(f"attainment failed for: {', '.join(bad)}", file=sys.stderr)
         return 1

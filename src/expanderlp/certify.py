@@ -15,16 +15,23 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .families import FamilySpec, build
 from .graphcore import (
     Graph,
     IntersectionArray,
-    diameter,
+    _intersection_array,
+    all_pairs_distances,
     girth_bfs,
     is_connected,
-    is_distance_regular,
     regularity,
 )
-from .lpbound import BoundCertificate, TightnessReport, certificate_from_spectrum, check_attainment
+from .lpbound import (
+    BoundCertificate,
+    TightnessReport,
+    certificate_from_spectrum,
+    check_attainment,
+    lp_bound_dual,
+)
 from .spectral import Spectrum, spectrum
 
 __all__ = [
@@ -33,6 +40,7 @@ __all__ = [
     "moore_polygon_array",
     "CertificationReport",
     "certify",
+    "catalog_row",
     "REPORT_SCHEMA_VERSION",
 ]
 
@@ -154,18 +162,19 @@ def certify(g: Graph, tol_cluster: Optional[float] = None, tol_slack: float = 1e
     spec = spectrum(g, tol_cluster)
     d = spec.d
     girth = girth_bfs(g)
-    diam = diameter(g)
+    dist = all_pairs_distances(g)
+    diam = int(dist.max())
     moore = moore_bound(k, d)
     tutte = tutte_bound(k, (girth - 1) // 2) if girth % 2 == 1 else None
     is_moore = g.n == moore
-    array = is_distance_regular(g)
+    array = _intersection_array(g, dist)
     polygon_c = None
     if array is not None and d >= 2 and girth >= 2 * d:
         c_last = array.c[-1]
         if 1 <= c_last <= k and array == moore_polygon_array(k, d, c_last):
             polygon_c = c_last
     cert = certificate_from_spectrum(k, spec.nontrivial, tol=tol_slack)
-    attainment = check_attainment(g, cert)
+    attainment = check_attainment(g, cert, spec=spec)
     verdict = VERDICT_CERTIFIED
     reason = None
     if girth < 2 * d:
@@ -185,3 +194,28 @@ def certify(g: Graph, tol_cluster: Optional[float] = None, tol_slack: float = 1e
         is_moore=is_moore, moore_polygon_c=polygon_c, intersection_array=array,
         certificate=cert, attainment=attainment, verdict=verdict, reason=reason,
     )
+
+
+def catalog_row(spec: FamilySpec) -> dict:
+    """One catalog row, shared by `expanderlp table2` and the reproduction script.
+
+    The family is built from scratch and measured once; the row holds its
+    dual LP bound at u = 2d - 1, its spectrum certificate and whether the
+    graph attains that certificate.
+    """
+    g = build(spec)
+    k = regularity(g)
+    sp = spectrum(g)
+    sol = lp_bound_dual(k, sp.nontrivial, 2 * sp.d - 1)
+    cert = certificate_from_spectrum(k, sp.nontrivial)
+    return {
+        "name": str(spec),
+        "v": g.n,
+        "k": k,
+        "girth": girth_bfs(g),
+        "d": sp.d,
+        "spectrum": [[e, m] for e, m in sp.entries],
+        "bound": None if sol.objective is None else float(sol.objective),
+        "certificate": [float(c) for c in cert.poly.coeffs],
+        "tight": check_attainment(g, cert, spec=sp).tight,
+    }

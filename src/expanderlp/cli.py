@@ -10,20 +10,20 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import families
-from .certify import certify as run_certify
+from .certify import catalog_row, certify as run_certify
 from .graphcore import (
     Graph,
     Graph6Error,
     SizeCapError,
-    diameter,
+    _intersection_array,
+    all_pairs_distances,
     girth_bfs,
     is_connected,
-    is_distance_regular,
     parse_graph6,
     regularity,
     write_graph6,
 )
-from .lpbound import certificate_from_spectrum, lp_bound_dual, lp_bound_primal
+from .lpbound import certificate_from_spectrum, lp_bound_dual
 from .spectral import girth_spectral, spectral_gap, spectrum
 
 __all__ = ["CliConfig", "main"]
@@ -110,14 +110,15 @@ def cmd_analyze(cfg: CliConfig) -> int:
         "connected": connected,
         "girth": girth_bfs(g),
     }
-    info["diameter"] = diameter(g) if connected and g.n else None
+    dist = all_pairs_distances(g) if connected and g.n else None
+    info["diameter"] = None if dist is None else int(dist.max())
     spec = spectrum(g, cfg.tol_cluster) if g.n else None
     info["spectrum"] = None if spec is None else [[e, m] for e, m in spec.entries]
     info["d"] = None if spec is None else spec.d
     if k is not None and connected and k >= 2:
         info["girth_trace"] = girth_spectral(g)
         info["spectral_gap"] = spectral_gap(g)
-        array = is_distance_regular(g)
+        array = _intersection_array(g, dist)
         info["distance_regular"] = (
             None if array is None else {"b": list(array.b), "c": list(array.c)}
         )
@@ -214,29 +215,13 @@ def cmd_generate(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_table2(cfg: CliConfig) -> int:
-    rows = []
-    for spec in families.TABLE_SPECS:
-        g = families.build(spec)
-        sp = spectrum(g)
-        k = regularity(g)
-        sol = lp_bound_dual(k, sp.nontrivial, 2 * sp.d - 1)
-        cert = certificate_from_spectrum(k, sp.nontrivial)
-        from .lpbound import check_attainment
+_TABLE2_KEYS = ("name", "v", "k", "girth", "spectrum", "bound", "tight")
 
-        att = check_attainment(g, cert)
-        rows.append(
-            {
-                "name": str(spec),
-                "v": g.n,
-                "k": k,
-                "girth": girth_bfs(g),
-                "spectrum": [[e, m] for e, m in sp.entries],
-                "bound": None if sol.objective is None else float(sol.objective),
-                "tight": att.tight,
-            }
-        )
+
+def cmd_table2(cfg: CliConfig) -> int:
+    rows = [catalog_row(spec) for spec in families.TABLE_SPECS]
     if cfg.as_json:
+        rows = [{key: row[key] for key in _TABLE2_KEYS} for row in rows]
         print(json.dumps(rows, allow_nan=False))
         return EXIT_OK
     header = f"{'family':>20} {'v':>4} {'k':>2} {'girth':>5} {'bound':>10} {'tight':>5}  spectrum"

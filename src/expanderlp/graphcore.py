@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -254,7 +253,6 @@ def girth_bfs(g: Graph) -> Optional[int]:
     return best
 
 
-@lru_cache(maxsize=64)
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Distance matrix by BFS from every vertex; -1 marks unreachable pairs."""
     dist = np.full((g.n, g.n), -1, dtype=np.int64)
@@ -269,7 +267,6 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
                 if row[v] < 0:
                     row[v] = du + 1
                     queue.append(v)
-    dist.flags.writeable = False
     return dist
 
 
@@ -360,9 +357,11 @@ def is_distance_regular(g: Graph) -> Optional[IntersectionArray]:
         raise ValueError("distance-regularity requires a regular graph")
     if not is_connected(g):
         raise ValueError("distance-regularity requires a connected graph")
-    if g.n == 1:
-        return IntersectionArray((), ())
-    dist = all_pairs_distances(g)
+    return _intersection_array(g, all_pairs_distances(g))
+
+
+def _intersection_array(g: Graph, dist: np.ndarray) -> Optional[IntersectionArray]:
+    """is_distance_regular on a connected regular graph with distance matrix dist."""
     d = int(dist.max())
     b: list[Optional[int]] = [None] * (d + 1)
     c: list[Optional[int]] = [None] * (d + 1)

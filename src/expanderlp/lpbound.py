@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphcore import Graph, is_connected, regularity
-from .orthopoly import MAX_DEGREE, MonomialPoly, SphereBasisPoly, sphere_poly, to_sphere_basis
-from .spectral import spectrum, sphere_poly_matrix
+from .orthopoly import MAX_DEGREE, MonomialPoly, SphereBasisPoly, sphere_sequence, to_sphere_basis
+from .spectral import Spectrum, spectrum, sphere_poly_matrices
 
 __all__ = [
     "ConditionReport",
@@ -120,12 +120,16 @@ def check_certificate(
     """Evaluate the four certificate conditions and the resulting bound.
 
     The tolerance applies to the two inequality conditions (values at
-    eigenvalues <= 0, coefficients >= 0); the strict positivity conditions are
-    checked as given.  Invalid certificates are reported, not raised.
+    eigenvalues <= 0, coefficients >= 0), and only when some eigenvalue or
+    coefficient is a float: exact data is compared against 0.  The strict
+    positivity conditions are checked as given.  Invalid certificates are
+    reported, not raised.
     """
     if poly.k != k:
         raise ValueError(f"certificate basis degree {poly.k} differs from k = {k}")
     taus = _validate_eigenvalues(k, eigenvalues)
+    if all(_is_rational(x) for x in taus + poly.coeffs):
+        tol = 0
     value_at_k = poly(k)
     cond1 = ConditionReport(value_at_k > 0, value_at_k)
     worst_val, worst_tau = None, None
@@ -322,16 +326,7 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
 
 def _sphere_values(k: int, u: int, x, exact: bool) -> list:
     """S_1(x)..S_u(x) in one forward pass, exact or float."""
-    val = Fraction(x) if exact and not isinstance(x, (int, Fraction)) else x
-    if not exact:
-        val = float(x)
-    out = []
-    prev, cur = 1, val
-    out.append(cur)
-    for m in range(2, u + 1):
-        prev, cur = cur, val * cur - (k if m == 2 else k - 1) * prev
-        out.append(cur)
-    return out
+    return list(sphere_sequence(k, x if exact else float(x), u))[1:]
 
 
 def lp_bound_dual(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> LPSolution:
@@ -408,12 +403,16 @@ class TightnessReport:
     order_matches: Optional[bool]
 
 
-def check_attainment(g: Graph, cert: BoundCertificate, tol: float = 1e-6) -> TightnessReport:
+def check_attainment(
+    g: Graph, cert: BoundCertificate, tol: float = 1e-6, spec: Optional[Spectrum] = None
+) -> TightnessReport:
     """Check the equality conditions of the bound against a concrete graph.
 
     The bound is attained iff f_i * trace(S_i(A)) = 0 for i = 1..deg f and
-    f vanishes at every eigenvalue of the graph other than k.  A degree
-    mismatch makes the certificate inapplicable, reported rather than raised.
+    f vanishes at every eigenvalue of the graph other than k.  spec is the
+    graph's measured spectrum; it is computed with the default clustering
+    tolerance when not given.  A degree mismatch makes the certificate
+    inapplicable, reported rather than raised.
     """
     k = regularity(g)
     if k is None:
@@ -427,11 +426,11 @@ def check_attainment(g: Graph, cert: BoundCertificate, tol: float = 1e-6) -> Tig
         return TightnessReport(False, "graph is not connected", False, (), (), g.n, cert.bound, None)
     if not cert.conditions.all_ok():
         return TightnessReport(False, "certificate conditions fail", False, (), (), g.n, cert.bound, None)
-    products = []
-    for i in range(1, cert.poly.degree + 1):
-        tr = int(np.trace(sphere_poly_matrix(g, i)))
-        products.append(cert.poly.coeffs[i] * tr)
-    residuals = tuple(cert.poly(t) for t in spectrum(g).nontrivial)
+    traces = [int(np.trace(m)) for m in sphere_poly_matrices(g, cert.poly.degree)]
+    products = [c * tr for c, tr in zip(cert.poly.coeffs[1:], traces[1:])]
+    if spec is None:
+        spec = spectrum(g)
+    residuals = tuple(cert.poly(t) for t in spec.nontrivial)
     exact = all(_is_rational(c) for c in cert.poly.coeffs)
     if exact:
         traces_ok = all(p == 0 for p in products)

@@ -22,8 +22,9 @@ evaluation at floats (or numpy arrays) runs in double precision.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "MAX_DEGREE",
     "MonomialPoly",
     "SphereBasisPoly",
+    "sphere_sequence",
     "sphere_poly",
     "ball_poly",
     "sphere_poly_monomial",
@@ -57,32 +59,37 @@ def _check_index(i: int) -> None:
         raise ValueError(f"degree {i} exceeds supported maximum {MAX_DEGREE}")
 
 
+def sphere_sequence(k: int, x, upto: int, one=None, mul=operator.mul):
+    """Yield S_0(x), S_1(x), ..., S_upto(x), each from the two before it.
+
+    x may be an int, Fraction, float or numpy array (evaluated entrywise);
+    one defaults to the matching unit.  With an identity as one and a
+    product as mul, x may be any ring element, e.g. a matrix under np.dot.
+    Values are produced lazily, so a caller may stop early.
+    """
+    if one is None:
+        one = np.ones_like(x) if isinstance(x, np.ndarray) else 1
+    yield one
+    if upto >= 1:
+        yield x
+    prev, cur = one, x
+    for m in range(2, upto + 1):
+        prev, cur = cur, mul(x, cur) - (k if m == 2 else k - 1) * prev
+        yield cur
+
+
 def sphere_poly(k: int, i: int, x):
     """Value of S_i at x.  x may be an int, Fraction, float or numpy array."""
     _check_k(k)
     _check_index(i)
-    if i == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1
-    if i == 1:
-        return x
-    prev, cur = 1, x
-    for m in range(2, i + 1):
-        prev, cur = cur, x * cur - (k if m == 2 else k - 1) * prev
-    return cur
+    return list(sphere_sequence(k, x, i))[i]
 
 
 def ball_poly(k: int, i: int, x):
     """Value of the partial sum B_i = S_0 + ... + S_i at x."""
     _check_k(k)
     _check_index(i)
-    if i == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1
-    total = 1 + x
-    prev, cur = 1, x
-    for m in range(2, i + 1):
-        prev, cur = cur, x * cur - (k if m == 2 else k - 1) * prev
-        total = total + cur
-    return total
+    return sum(sphere_sequence(k, x, i))
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,12 @@ class MonomialPoly:
                 out[i + j] += ai * bj
         return MonomialPoly(tuple(out))
 
+    def __rmul__(self, scalar) -> "MonomialPoly":
+        return MonomialPoly(tuple(scalar * a for a in self.coeffs))
+
+    def __sub__(self, other: "MonomialPoly") -> "MonomialPoly":
+        return self + -1 * other
+
     def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -144,18 +157,7 @@ def sphere_poly_monomial(k: int, i: int) -> MonomialPoly:
     """S_i expanded in the monomial basis; coefficients are exact ints."""
     _check_k(k)
     _check_index(i)
-    if i == 0:
-        return MonomialPoly((1,))
-    if i == 1:
-        return MonomialPoly((0, 1))
-    prev, cur = [1], [0, 1]
-    for m in range(2, i + 1):
-        coef = k if m == 2 else k - 1
-        nxt = [0] + cur
-        for j, a in enumerate(prev):
-            nxt[j] -= coef * a
-        prev, cur = cur, nxt
-    return MonomialPoly(tuple(cur))
+    return list(sphere_sequence(k, MonomialPoly((0, 1)), i, one=MonomialPoly((1,))))[i]
 
 
 @dataclass(frozen=True)
@@ -183,17 +185,8 @@ class SphereBasisPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        cs = self.coeffs
-        one = np.ones_like(x) if isinstance(x, np.ndarray) else 1
-        total = cs[0] * one
-        if len(cs) == 1:
-            return total
-        prev, cur = one, x
-        total = total + cs[1] * x
-        for m in range(2, len(cs)):
-            prev, cur = cur, x * cur - (self.k if m == 2 else self.k - 1) * prev
-            total = total + cs[m] * cur
-        return total
+        terms = map(operator.mul, self.coeffs, sphere_sequence(self.k, x, self.degree))
+        return reduce(operator.add, terms)
 
     def to_monomial(self) -> MonomialPoly:
         out = [0] * (len(self.coeffs))

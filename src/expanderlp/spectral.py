@@ -1,10 +1,16 @@
-"""Spectra of graphs and exact evaluation of sphere polynomials at adjacency matrices."""
+"""Spectra of graphs and exact evaluation of sphere polynomials at adjacency matrices.
+
+Every matrix S_i(A) comes from one pass of the tree recurrence,
+`sphere_poly_matrices`, which also decides once whether float64 products are
+exact for the whole pass or Python-int products are needed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import accumulate, islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -16,12 +22,13 @@ from .graphcore import (
     is_connected,
     regularity,
 )
-from .orthopoly import MAX_DEGREE
+from .orthopoly import MAX_DEGREE, sphere_sequence
 
 __all__ = [
     "SPECTRAL_SIZE_CAP",
     "Spectrum",
     "spectrum",
+    "sphere_poly_matrices",
     "sphere_poly_matrix",
     "girth_spectral",
     "HoffmanData",
@@ -31,9 +38,7 @@ __all__ = [
 
 SPECTRAL_SIZE_CAP = 512
 
-# int64 matrix recurrences are exact while entries stay below this; beyond it
-# the iteration falls back to arbitrary-precision Python ints.
-_INT64_SAFE = 2**62
+# float64 holds every integer below this exactly.
 _FLOAT_SAFE = 2**53
 
 
@@ -90,49 +95,40 @@ def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
     return Spectrum(tuple(entries), tol, g.n)
 
 
-def _as_object(a: np.ndarray) -> np.ndarray:
-    return np.array([[int(x) for x in row] for row in a], dtype=object)
+def sphere_poly_matrices(g: Graph, upto: int) -> Iterator[np.ndarray]:
+    """S_0(A), ..., S_upto(A) at the adjacency matrix A of a regular graph, lazily.
+
+    Entry (u, w) of S_i(A) counts non-backtracking walks of length i from u
+    to w, so the entries are nonnegative integers and the rows of A*S_i(A)
+    sum to k*S_i(k).  Every value the recurrence forms is therefore at most
+    k * max(S_0(k), ..., S_{upto-1}(k)), which is k*S_{upto-1}(k) for k >= 2:
+    below 2**53 the products run in float64 (BLAS) and are exact, otherwise
+    they run on Python ints.  This one decision, taken before the first
+    product, is the package's only exactness guard.  Matrices are yielded as
+    int64 arrays, or object arrays of Python ints.
+    """
+    k = regularity(g)
+    if k is None:
+        raise ValueError("polynomial evaluation requires a regular graph")
+    dtype = np.float64 if k * max(sphere_sequence(k, k, upto - 1)) < _FLOAT_SAFE else object
+    mats = sphere_sequence(
+        k, g.adjacency_matrix(dtype=dtype), upto, one=np.eye(g.n, dtype=dtype), mul=np.dot
+    )
+    return (m.astype(np.int64) for m in mats) if dtype is np.float64 else mats
 
 
 def sphere_poly_matrix(g: Graph, i: int) -> np.ndarray:
     """S_i evaluated at the adjacency matrix, entrywise exact integers.
 
     Entry (u, w) counts non-backtracking walks of length i from u to w.
-    Runs in int64 and switches to Python ints before overflow could occur.
     """
-    k = regularity(g)
-    if k is None:
-        raise ValueError("polynomial evaluation requires a regular graph")
     if i < 0 or i > MAX_DEGREE:
         raise ValueError(f"index must lie in 0..{MAX_DEGREE}, got {i}")
-    n = g.n
-    if i == 0:
-        return np.eye(n, dtype=np.int64)
-    a = g.adjacency_matrix(dtype=np.int64)
-    if i == 1:
-        return a
-    prev = np.eye(n, dtype=np.int64)
-    cur = a
-    mprev = mcur = 1
-    exact64 = True
-    for m in range(2, i + 1):
-        coef = k if m == 2 else k - 1
-        if exact64 and k * mcur + coef * mprev >= _INT64_SAFE:
-            a = _as_object(a)
-            prev = _as_object(prev)
-            cur = _as_object(cur)
-            exact64 = False
-        prev, cur = cur, np.dot(a, cur) - coef * prev
-        mprev, mcur = mcur, int(np.abs(cur).max()) if n else 0
-    return cur
+    return next(islice(sphere_poly_matrices(g, i), i, None))
 
 
 def girth_spectral(g: Graph) -> int:
-    """Girth as the first index with a nonzero trace of S_i at the adjacency matrix.
-
-    Uses float64 matrix products while every entry is exactly representable,
-    then falls back to exact integers (never needed within the size cap).
-    """
+    """Girth as the first index with a nonzero trace of S_i at the adjacency matrix."""
     k = regularity(g)
     if k is None:
         raise ValueError("spectral girth requires a regular graph")
@@ -140,25 +136,13 @@ def girth_spectral(g: Graph) -> int:
         raise ValueError("spectral girth requires a connected graph")
     if k < 2:
         raise ValueError("graph has no cycle")
-    n = g.n
-    a = g.adjacency_matrix(dtype=np.float64)
-    prev = np.eye(n)
-    cur = a.copy()
-    mprev = mcur = 1
-    exact = True
-    for i in range(1, 2 * n + 1):
-        trace = sum(int(x) for x in np.diagonal(cur))
-        if trace != 0:
+    # While 2r + 1 < girth every radius-r ball is a tree on B_r(k) vertices,
+    # so the first r with B_r(k) > n bounds the girth by 2r + 1.
+    r = next(r for r, ball in enumerate(accumulate(sphere_sequence(k, k, g.n))) if ball > g.n)
+    for i, mat in enumerate(sphere_poly_matrices(g, 2 * r + 1)):
+        if i and np.trace(mat):
             return i
-        coef = k if i == 1 else k - 1
-        if exact and k * mcur + coef * mprev >= _FLOAT_SAFE:
-            a = _as_object(a)
-            prev = _as_object(prev)
-            cur = _as_object(cur)
-            exact = False
-        prev, cur = cur, np.dot(a, cur) - coef * prev
-        mprev, mcur = mcur, int(np.abs(cur).max())
-    raise RuntimeError("no nonzero trace within the scan cap")
+    raise RuntimeError("no nonzero trace up to the girth bound")
 
 
 @dataclass(frozen=True)
@@ -187,7 +171,7 @@ def hoffman_decomposition(g: Graph) -> HoffmanData:
     dist = all_pairs_distances(g)
     if int(dist.max()) != d:
         raise ValueError(f"diameter {int(dist.max())} differs from d = {d}")
-    mats = [sphere_poly_matrix(g, i) for i in range(d + 1)]
+    mats = list(sphere_poly_matrices(g, d))
     far = dist == d
     values = {int(x) for x in mats[d][far]}
     if len(values) != 1:

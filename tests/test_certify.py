@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from expanderlp import (
     moore_polygon_array,
     parse_family,
     tutte_bound,
+    write_graph6,
 )
 
 
@@ -214,3 +216,36 @@ class TestReportSchema:
         assert doc["lp"]["bound"] == pytest.approx(10.0, abs=1e-9)
         assert doc["lp"]["f_coeffs"] == pytest.approx([5, 5, 3, 1], abs=1e-9)
         assert doc["lp"]["tight"] is True
+
+
+@pytest.fixture
+def distance_calls(monkeypatch):
+    """Count all_pairs_distances calls through every module that holds it."""
+    calls = []
+    graphcore = importlib.import_module("expanderlp.graphcore")
+    original = graphcore.all_pairs_distances
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    for name in ("graphcore", "certify", "cli"):
+        module = importlib.import_module(f"expanderlp.{name}")
+        monkeypatch.setattr(module, "all_pairs_distances", counted)
+    return calls
+
+
+class TestOneDistanceMatrix:
+    def test_certify(self, distance_calls):
+        report = certify(family("gq:2"))
+        assert report.diam == 4 and report.intersection_array is not None
+        assert distance_calls == [30]
+
+    def test_analyze(self, distance_calls, tmp_path, capsys):
+        path = tmp_path / "g.g6"
+        path.write_bytes(write_graph6(family("gq:2")) + b"\n")
+        cli = importlib.import_module("expanderlp.cli")
+        assert cli.main(["analyze", "--json", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diameter"] == 4 and doc["distance_regular"] is not None
+        assert distance_calls == [30]

@@ -9,6 +9,7 @@ from expanderlp import (
     SphereBasisPoly,
     build,
     certificate_from_spectrum,
+    certify,
     check_attainment,
     check_certificate,
     lp_bound_dual,
@@ -145,6 +146,26 @@ class TestCheckCertificate:
         assert cert.constant_term == 5
         assert cert.bound == Fraction(10)
 
+    def test_exact_data_has_zero_tolerance(self):
+        # an exact coefficient just below zero is a violation, not float noise
+        poly = to_sphere_basis(3, MonomialPoly.from_roots((1, -2, -2)))
+        bad = SphereBasisPoly(3, poly.coeffs + (Fraction(-1, 10**12),))
+        cert = check_certificate(3, (1, -2), bad)
+        assert not cert.conditions.coeffs_nonnegative.ok
+        assert cert.bound is None
+        # raising f_0 makes f positive at both eigenvalues, by exactly 1/10**12
+        raised = SphereBasisPoly(3, (poly.coeffs[0] + Fraction(1, 10**12),) + poly.coeffs[1:])
+        cert = check_certificate(3, (1, -2), raised)
+        assert not cert.conditions.nonpositive_at_eigenvalues.ok
+        assert cert.bound is None
+
+    def test_float_data_keeps_tolerance(self):
+        # the same perturbation on float data is within the slack tolerance
+        poly = SphereBasisPoly(3, (5.0, 5.0, 3.0, 1.0, -1e-12))
+        cert = check_certificate(3, (1.0, -2.0), poly)
+        assert cert.conditions.all_ok()
+        assert cert.bound == pytest.approx(10.0)
+
     def test_violates_only_nonpositivity(self):
         # f = S_0: positive everywhere, so the eigenvalue condition fails alone
         poly = SphereBasisPoly(3, (1,))
@@ -268,6 +289,12 @@ class TestAttainment:
         rep = check_attainment(prism, cert)
         assert rep.applicable
         assert not rep.tight
+
+    def test_uses_the_measured_spectrum(self):
+        # a tiny clustering tolerance splits the eigenvalues; attainment must
+        # evaluate the certificate at the same split spectrum certify measured
+        report = certify(family("petersen"), tol_cluster=1e-17)
+        assert len(report.attainment.eigenvalue_residuals) == report.spec.d
 
     def test_order_below_bound(self):
         # K_{3,3} data bounds v by 6; Heawood has 14 vertices and fails

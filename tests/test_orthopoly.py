@@ -12,6 +12,7 @@ from expanderlp import (
     linearize_product,
     sphere_poly,
     sphere_poly_monomial,
+    sphere_sequence,
     to_sphere_basis,
     tree_weight,
     weight_quadrature,
@@ -68,6 +69,13 @@ class TestSpherePoly:
         lhs = sphere_poly(k, i, x)
         rhs = x * sphere_poly(k, i - 1, x) - (k - 1) * sphere_poly(k, i - 2, x)
         assert lhs == rhs
+
+    @given(st.integers(2, 6), st.integers(0, 16), st.fractions())
+    @settings(max_examples=80, deadline=None)
+    def test_sequence_matches_monomial_expansion(self, k, i, x):
+        values = list(sphere_sequence(k, x, i))
+        assert len(values) == i + 1
+        assert values[i] == sphere_poly_monomial(k, i)(x)
 
 
 class TestBallPoly:

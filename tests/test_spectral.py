@@ -14,6 +14,7 @@ from expanderlp import (
     sphere_poly_matrix,
     spectral_gap,
     spectrum,
+    sphere_poly_matrices,
 )
 from oracles import walk_count_matrix
 
@@ -108,6 +109,17 @@ class TestSpherePolyMatrix:
         mat = sphere_poly_matrix(g, 40)
         total = int(np.asarray(mat, dtype=object).sum())
         assert total == 8 * 7 * 6**39  # v * S_40(k) row sums, k = 7
+
+    @pytest.mark.parametrize("upto, dtype", [(20, np.int64), (21, object)])
+    def test_exactness_guard_boundary(self, upto, dtype):
+        # k = 7: k * S_{upto-1}(k) = 49 * 6**(upto-2) first reaches 2**53 at
+        # upto = 21, so 20 is the last float64 pass and 21 the first on Python ints
+        g = family("complete:8")
+        mats = list(sphere_poly_matrices(g, upto))
+        assert len(mats) == upto + 1
+        assert all(m.dtype == dtype for m in mats)
+        row_sums = {int(x) for x in np.asarray(mats[upto], dtype=object).sum(axis=1)}
+        assert row_sums == {7 * 6 ** (upto - 1)}
 
 
 class TestGirthSpectral:

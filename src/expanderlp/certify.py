@@ -19,8 +19,7 @@ from .families import FamilySpec, build
 from .graphcore import (
     Graph,
     IntersectionArray,
-    _intersection_array,
-    all_pairs_distances,
+    _level_sweep,
     girth_bfs,
     is_connected,
     regularity,
@@ -32,6 +31,7 @@ from .lpbound import (
     check_attainment,
     lp_bound_dual,
 )
+from .orthopoly import MAX_DEGREE
 from .spectral import Spectrum, spectrum
 
 __all__ = [
@@ -136,7 +136,7 @@ class CertificationReport:
 
 def _not_applicable(g: Graph, k: Optional[int], reason: str) -> CertificationReport:
     return CertificationReport(
-        v=g.n, k=k, girth=girth_bfs(g) if g.n else None, diam=None, spec=None,
+        v=g.n, k=k, girth=girth_bfs(g), diam=None, spec=None,
         moore=None, tutte=None, is_moore=None, moore_polygon_c=None,
         intersection_array=None, certificate=None, attainment=None,
         verdict=VERDICT_NOT_APPLICABLE, reason=reason,
@@ -148,7 +148,8 @@ def certify(g: Graph, tol_cluster: Optional[float] = None, tol_slack: float = 1e
 
     Verdicts: certified (girth >= 2d, valid tight certificate), failed (the
     girth condition or a certificate condition fails), not-applicable (graph
-    is empty, irregular, disconnected, or of degree < 2).
+    is empty, irregular, disconnected, of degree < 2, or its certificate
+    degree 2d - 1 exceeds MAX_DEGREE, past which no certificate is built).
     """
     if g.n == 0:
         return _not_applicable(g, None, "empty graph")
@@ -161,24 +162,27 @@ def certify(g: Graph, tol_cluster: Optional[float] = None, tol_slack: float = 1e
         return _not_applicable(g, k, "degree below 2")
     spec = spectrum(g, tol_cluster)
     d = spec.d
-    girth = girth_bfs(g)
-    dist = all_pairs_distances(g)
+    dist, girth, array = _level_sweep(g)
     diam = int(dist.max())
     moore = moore_bound(k, d)
     tutte = tutte_bound(k, (girth - 1) // 2) if girth % 2 == 1 else None
     is_moore = g.n == moore
-    array = _intersection_array(g, dist)
     polygon_c = None
     if array is not None and d >= 2 and girth >= 2 * d:
         c_last = array.c[-1]
         if 1 <= c_last <= k and array == moore_polygon_array(k, d, c_last):
             polygon_c = c_last
-    cert = certificate_from_spectrum(k, spec.nontrivial, tol=tol_slack)
-    attainment = check_attainment(g, cert, spec=spec)
+    cert = attainment = None
+    if 2 * d - 1 <= MAX_DEGREE:
+        cert = certificate_from_spectrum(k, spec.nontrivial, tol=tol_slack)
+        attainment = check_attainment(g, cert, spec=spec)
     verdict = VERDICT_CERTIFIED
     reason = None
     if girth < 2 * d:
         verdict, reason = VERDICT_FAILED, f"girth {girth} below 2d = {2 * d}"
+    elif cert is None:
+        verdict = VERDICT_NOT_APPLICABLE
+        reason = f"certificate degree {2 * d - 1} exceeds maximum {MAX_DEGREE}"
     elif not cert.conditions.all_ok():
         verdict, reason = VERDICT_FAILED, "certificate conditions fail"
     elif not attainment.tight:

@@ -15,16 +15,14 @@ from .graphcore import (
     Graph,
     Graph6Error,
     SizeCapError,
-    _intersection_array,
-    all_pairs_distances,
-    girth_bfs,
+    _level_sweep,
     is_connected,
     parse_graph6,
     regularity,
     write_graph6,
 )
 from .lpbound import certificate_from_spectrum, lp_bound_dual
-from .spectral import girth_spectral, spectral_gap, spectrum
+from .spectral import girth_spectral, spectrum
 
 __all__ = ["CliConfig", "main"]
 
@@ -103,29 +101,25 @@ def cmd_analyze(cfg: CliConfig) -> int:
     g = _read_graph(cfg.path or "-")
     k = regularity(g)
     connected = is_connected(g)
+    # the spectrum first: a graph past the size cap fails before the O(n^2) sweep
+    spec = spectrum(g, cfg.tol_cluster) if g.n else None
+    dist, girth, array = _level_sweep(g)
+    theory = k is not None and connected and k >= 2
     info: dict = {
         "v": g.n,
         "edges": g.edge_count(),
         "k": k,
         "connected": connected,
-        "girth": girth_bfs(g),
+        "girth": girth,
+        "diameter": int(dist.max()) if connected and g.n else None,
+        "spectrum": None if spec is None else [[e, m] for e, m in spec.entries],
+        "d": None if spec is None else spec.d,
+        "girth_trace": girth_spectral(g) if theory else None,
+        "spectral_gap": float(k - spec.entries[1][0]) if theory else None,
+        "distance_regular": None
+        if array is None or not theory
+        else {"b": list(array.b), "c": list(array.c)},
     }
-    dist = all_pairs_distances(g) if connected and g.n else None
-    info["diameter"] = None if dist is None else int(dist.max())
-    spec = spectrum(g, cfg.tol_cluster) if g.n else None
-    info["spectrum"] = None if spec is None else [[e, m] for e, m in spec.entries]
-    info["d"] = None if spec is None else spec.d
-    if k is not None and connected and k >= 2:
-        info["girth_trace"] = girth_spectral(g)
-        info["spectral_gap"] = spectral_gap(g)
-        array = _intersection_array(g, dist)
-        info["distance_regular"] = (
-            None if array is None else {"b": list(array.b), "c": list(array.c)}
-        )
-    else:
-        info["girth_trace"] = None
-        info["spectral_gap"] = None
-        info["distance_regular"] = None
     if cfg.as_json:
         print(json.dumps(info, indent=2, allow_nan=False))
         return EXIT_OK

@@ -229,45 +229,17 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def girth_bfs(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle by BFS from every root; None if acyclic."""
-    best: Optional[int] = None
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            if best is not None and 2 * dist[x] + 1 > best:
-                break
-            for y in g.neighbors[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y:
-                    length = dist[x] + dist[y] + 1
-                    if best is None or length < best:
-                        best = length
-        if best == 3:
-            return 3
-    return best
+    """Length of a shortest cycle; None if acyclic.
+
+    The name is historical: the girth comes out of the all-sources level
+    sweep `_level_sweep`, not a BFS from every root.
+    """
+    return _level_sweep(g)[1]
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Distance matrix by BFS from every vertex; -1 marks unreachable pairs."""
-    dist = np.full((g.n, g.n), -1, dtype=np.int64)
-    for start in range(g.n):
-        row = dist[start]
-        row[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in g.neighbors[u]:
-                if row[v] < 0:
-                    row[v] = du + 1
-                    queue.append(v)
-    return dist
+    """Distance matrix by the all-sources level sweep; -1 marks unreachable pairs."""
+    return _level_sweep(g)[0]
 
 
 def distance_matrix(g: Graph, i: int) -> np.ndarray:
@@ -352,45 +324,70 @@ def is_distance_regular(g: Graph) -> Optional[IntersectionArray]:
     Requires a connected regular graph; checks every ordered pair, so a
     returned array is a proof, not a heuristic.
     """
-    k = regularity(g)
-    if k is None:
+    if regularity(g) is None:
         raise ValueError("distance-regularity requires a regular graph")
     if not is_connected(g):
         raise ValueError("distance-regularity requires a connected graph")
-    return _intersection_array(g, all_pairs_distances(g))
+    return _level_sweep(g)[2]
 
 
-def _intersection_array(g: Graph, dist: np.ndarray) -> Optional[IntersectionArray]:
-    """is_distance_regular on a connected regular graph with distance matrix dist."""
-    d = int(dist.max())
-    b: list[Optional[int]] = [None] * (d + 1)
-    c: list[Optional[int]] = [None] * (d + 1)
-    for x in range(g.n):
-        drow = dist[x]
-        for y in range(g.n):
-            ell = int(drow[y])
-            down = same = up = 0
-            for z in g.neighbors[y]:
-                dz = int(drow[z])
-                if dz == ell - 1:
-                    down += 1
-                elif dz == ell:
-                    same += 1
-                else:
-                    up += 1
-            if ell < d:
-                if b[ell] is None:
-                    b[ell] = up
-                elif b[ell] != up:
-                    return None
-            elif up != 0:
-                return None
-            if ell > 0:
-                if c[ell] is None:
-                    c[ell] = down
-                elif c[ell] != down:
-                    return None
-    return IntersectionArray(tuple(b[:d]), tuple(c[1:]))
+def _level_sweep(g: Graph) -> tuple[np.ndarray, Optional[int], Optional[IntersectionArray]]:
+    """Distances, girth and intersection array from one all-sources level sweep.
+
+    Level l+1 of every source x is every unreached y with a neighbour at
+    level l.  Then down[x, y] and same[x, y] count the neighbours of y at
+    distance dist(x, y) - 1 and dist(x, y) from x.  The girth is the least
+    2l + 1 over reachable pairs with same > 0 and 2l over those with
+    down >= 2: each pattern joins two distinct x-y paths of total length
+    2l + 1 or 2l, so it closes a cycle at most that long, and a shortest
+    cycle, being isometric, shows one of them from each of its vertices to
+    the opposite edge or vertex.  On a connected k-regular graph c_l is down
+    and b_l is k - down - same, required constant on each distance class;
+    otherwise the array is None.  dist is int16 (int32 from 2**15 vertices
+    on), -1 for unreachable pairs.
+    """
+    n = g.n
+    width = max(map(len, g.neighbors), default=0)
+    # neighbour lists padded with the sentinel column n
+    nbr = np.full((n, width), n, dtype=np.intp)
+    for y, row in enumerate(g.neighbors):
+        nbr[y, : len(row)] = row
+    dist = np.full((n, n + 1), -1, dtype=np.int16 if n < 2**15 else np.int32)
+    level = np.eye(n, n + 1, dtype=bool)
+    ell = 0
+    while level.any():
+        dist[level] = ell
+        nxt = np.zeros_like(level)
+        for j in range(width):
+            nxt[:, :n] |= level[:, nbr[:, j]]
+        nxt &= dist < 0
+        level, ell = nxt, ell + 1
+    dist[:, n] = n  # a padded slot lies farther than any vertex: never counted
+    d = dist[:, :n]
+    down = np.zeros((n, n), dtype=np.min_scalar_type(width))
+    same = np.zeros_like(down)
+    for j in range(width):
+        # a neighbour of y lies at distance dist(x, y) - 1, dist(x, y) or + 1
+        nd = dist[:, nbr[:, j]]
+        down += nd < d
+        same += nd == d
+    reach = d >= 0
+    odd = int(d.min(where=(same > 0) & reach, initial=n))
+    even = int(d.min(where=(down > 1) & reach, initial=n))
+    girth = min(2 * odd + 1, 2 * even) if min(odd, even) < n else None
+    k = regularity(g)
+    if k is None or not reach.all():
+        return d, girth, None
+    b, c = [], []
+    for ell in range(int(d.max()) + 1):
+        at = d == ell
+        cs = down[at]
+        bs = k - cs - same[at]
+        if cs.min() != cs.max() or bs.min() != bs.max():
+            return d, girth, None
+        b.append(int(bs[0]))
+        c.append(int(cs[0]))
+    return d, girth, IntersectionArray(tuple(b[:-1]), tuple(c[1:]))
 
 
 @dataclass(frozen=True)

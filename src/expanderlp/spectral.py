@@ -17,8 +17,7 @@ import numpy as np
 from .graphcore import (
     Graph,
     SizeCapError,
-    all_pairs_distances,
-    girth_bfs,
+    _level_sweep,
     is_connected,
     regularity,
 )
@@ -70,7 +69,8 @@ def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
 
     Eigenvalues whose consecutive gaps are at most tol are merged into one
     entry whose value is the mean of the cluster.  Default tol is
-    1e-8 * max(1, max degree).
+    1e-8 * max(1, max degree).  A tol so wide that the top cluster of a
+    connected regular graph no longer sits at k is bad input: ValueError.
     """
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
@@ -89,7 +89,7 @@ def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
     k = regularity(g)
     if k is not None and is_connected(g):
         if abs(entries[0][0] - k) > 1e-6:
-            raise RuntimeError("eigensolver sanity check failed: top eigenvalue far from k")
+            raise ValueError("eigensolver sanity check failed: top eigenvalue far from k")
         # the Perron eigenvalue of a connected k-regular graph is exactly k
         entries[0] = (float(k), entries[0][1])
     return Spectrum(tuple(entries), tol, g.n)
@@ -165,10 +165,9 @@ def hoffman_decomposition(g: Graph) -> HoffmanData:
     if k is None or not is_connected(g) or k < 2:
         raise ValueError("decomposition requires a connected regular graph of degree >= 2")
     d = spectrum(g).d
-    girth = girth_bfs(g)
+    dist, girth, _ = _level_sweep(g)
     if girth is not None and girth < 2 * d:
         raise ValueError(f"girth {girth} below required 2d = {2 * d}")
-    dist = all_pairs_distances(g)
     if int(dist.max()) != d:
         raise ValueError(f"diameter {int(dist.max())} differs from d = {d}")
     mats = list(sphere_poly_matrices(g, d))

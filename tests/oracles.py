@@ -6,6 +6,7 @@ polynomial arithmetic, no shared code paths with the library.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,6 +42,43 @@ def walk_count_matrix(g: Graph, length: int) -> np.ndarray:
         for _, v in frontier:
             out[u, v] += 1
     return out
+
+
+def bfs_distances(g: Graph) -> np.ndarray:
+    """Distance matrix by a plain BFS from each vertex; -1 marks unreachable pairs."""
+    dist = np.full((g.n, g.n), -1, dtype=np.int64)
+    for start in range(g.n):
+        row = dist[start]
+        row[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in g.neighbors[u]:
+                if row[v] < 0:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+    return dist
+
+
+def intersection_array_brute(g: Graph):
+    """(b, c) of a connected regular graph by the definition, or None.
+
+    For every ordered pair (x, y) at distance l, counts the neighbours of y
+    at distance l - 1 (c_l) and l + 1 (b_l) from x and requires each count
+    to depend on l alone.
+    """
+    dist = bfs_distances(g)
+    diam = int(dist.max())
+    b: dict = {}
+    c: dict = {}
+    for x in range(g.n):
+        for y in range(g.n):
+            ell = int(dist[x, y])
+            down = sum(1 for z in g.neighbors[y] if dist[x, z] == ell - 1)
+            up = sum(1 for z in g.neighbors[y] if dist[x, z] == ell + 1)
+            if b.setdefault(ell, up) != up or c.setdefault(ell, down) != down:
+                return None
+    return tuple(b[i] for i in range(diam)), tuple(c[i] for i in range(1, diam + 1))
 
 
 def cubic_graphs_brute(n: int):

@@ -1,9 +1,11 @@
 import importlib
 import json
+import random
 
 import pytest
 
 from expanderlp import (
+    MAX_DEGREE,
     Graph,
     VERDICT_CERTIFIED,
     VERDICT_FAILED,
@@ -16,6 +18,7 @@ from expanderlp import (
     tutte_bound,
     write_graph6,
 )
+from expanderlp.enumeration import random_regular_graph
 
 
 def family(text):
@@ -155,6 +158,32 @@ class TestCertifyVerdicts:
         assert certify(Graph.from_edges(0, [])).verdict == VERDICT_NOT_APPLICABLE
 
 
+class TestPastCertificateDegree:
+    """Graphs whose certificate degree 2d - 1 exceeds MAX_DEGREE still get a verdict."""
+
+    def certify_cli(self, g, tmp_path, capsys):
+        path = tmp_path / "g.g6"
+        path.write_bytes(write_graph6(g) + b"\n")
+        cli = importlib.import_module("expanderlp.cli")
+        assert cli.main(["certify", str(path)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_random_cubic_fails_on_girth(self, tmp_path, capsys):
+        g = random_regular_graph(64, 3, random.Random(7))
+        doc = self.certify_cli(g, tmp_path, capsys)
+        assert 2 * doc["d"] - 1 > MAX_DEGREE
+        assert doc["verdict"] == VERDICT_FAILED
+        assert doc["reason"] == f"girth {doc['girth']} below 2d = {2 * doc['d']}"
+        assert doc["lp"] is None
+
+    def test_long_cycle_not_applicable(self, tmp_path, capsys):
+        doc = self.certify_cli(family("cycle:66"), tmp_path, capsys)
+        assert (doc["girth"], doc["d"], doc["diameter"]) == (66, 33, 33)
+        assert doc["verdict"] == VERDICT_NOT_APPLICABLE
+        assert doc["reason"] == f"certificate degree 65 exceeds maximum {MAX_DEGREE}"
+        assert doc["lp"] is None
+
+
 class TestReportSchema:
     def test_keys_and_order(self):
         doc = certify(family("petersen")).to_json_dict()
@@ -220,10 +249,10 @@ class TestReportSchema:
 
 @pytest.fixture
 def distance_calls(monkeypatch):
-    """Count all_pairs_distances calls through every module that holds it."""
+    """Count level-sweep calls through every module that holds it."""
     calls = []
     graphcore = importlib.import_module("expanderlp.graphcore")
-    original = graphcore.all_pairs_distances
+    original = graphcore._level_sweep
 
     def counted(g):
         calls.append(g.n)
@@ -231,7 +260,7 @@ def distance_calls(monkeypatch):
 
     for name in ("graphcore", "certify", "cli"):
         module = importlib.import_module(f"expanderlp.{name}")
-        monkeypatch.setattr(module, "all_pairs_distances", counted)
+        monkeypatch.setattr(module, "_level_sweep", counted)
     return calls
 
 

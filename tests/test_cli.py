@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from expanderlp.cli import main
@@ -64,6 +65,41 @@ class TestAnalyze:
         path.write_text(word + "\n")
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 3
+
+    def test_one_eigensolve(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "p.g6"
+        path.write_text(graph6_of(capsys, "petersen") + "\n")
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, _, _ = run(capsys, "analyze", "--json", str(path))
+        assert code == 0
+        assert calls == [(10, 10)]
+
+    def test_gap_from_measured_spectrum(self, capsys, tmp_path):
+        # so tight a tolerance splits the eigenvalue 1 of the petersen graph;
+        # the gap must come from that same spectrum
+        path = tmp_path / "p.g6"
+        path.write_text(graph6_of(capsys, "petersen") + "\n")
+        code, out, _ = run(capsys, "analyze", "--json", "--tol-cluster", "1e-17", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["spectral_gap"] == 3 - doc["spectrum"][1][0]
+
+    def test_size_cap_before_sweep(self, capsys, tmp_path, monkeypatch):
+        import expanderlp.cli as cli
+
+        path = tmp_path / "big.g6"
+        path.write_text(graph6_of(capsys, "cycle:600") + "\n")
+        monkeypatch.setattr(cli, "_level_sweep", lambda g: pytest.fail("sweep ran past the cap"))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 3
+        assert err == "error: eigensolver capped at 512 vertices, got 600\n"
 
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/x.g6")
@@ -146,6 +182,20 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", str(path))
         assert code == 0
         assert json.loads(out)["verdict"] == "not-applicable"
+
+
+class TestBadTolerance:
+    # a clustering tolerance that merges the top eigenvalue away is bad input
+    @pytest.mark.parametrize("argv", [("certify", "--tol-cluster", "1.3"),
+                                      ("analyze", "--json", "--tol-cluster", "1.3")])
+    def test_clean_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "c7.g6"
+        path.write_text(graph6_of(capsys, "cycle:7") + "\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: eigensolver sanity check failed")
+        assert "Traceback" not in err
 
 
 class TestTable2:

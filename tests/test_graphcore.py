@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from expanderlp import (
     parse_family,
     regularity,
 )
-from oracles import expansion_brute
+from expanderlp.enumeration import random_regular_graph
+from oracles import bfs_distances, expansion_brute, intersection_array_brute
 
 
 def family(text):
@@ -282,3 +284,40 @@ def test_girth_matches_cycle_enumeration(n, seed):
         if best is not None:
             break
     assert girth_bfs(g) == best
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on n <= 12 vertices: any degrees, isolated vertices, several components."""
+    n = draw(st.integers(0, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_distances_match_bfs(g):
+    dist = all_pairs_distances(g)
+    assert dist.shape == (g.n, g.n)
+    assert (dist == bfs_distances(g)).all()
+
+
+@st.composite
+def random_regular(draw):
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k + 1, 24).filter(lambda n: n * k % 2 == 0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_regular_graph(n, k, random.Random(seed))
+
+
+@given(random_regular())
+@settings(max_examples=60, deadline=None)
+def test_distance_regularity_matches_definition(g):
+    if not is_connected(g):
+        with pytest.raises(ValueError):
+            is_distance_regular(g)
+        return
+    arr = is_distance_regular(g)
+    want = intersection_array_brute(g)
+    assert (None if arr is None else (arr.b, arr.c)) == want

@@ -73,7 +73,7 @@ class TestSpectrum:
 
     def test_overclustering_regular_graph_caught(self):
         # merging the top eigenvalue away trips the sanity guard
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError):
             spectrum(family("cycle:5"), tol=10.0)
 
 

@@ -121,6 +121,47 @@ def cubic_graphs_brute(n: int):
             yield Graph.from_edges(n, edges)
 
 
+def cubic_graphs_dfs(n: int):
+    """connected_cubic_graphs(n), order included, by a recursive set-based search.
+
+    Pins N(0) = {1, 2, 3}, then joins the first vertex of degree below 3 to
+    each combination, in lexicographic order, of the later unsaturated
+    vertices it still needs, depth first, and yields each connected
+    completion.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    deg = [0] * n
+    for v in (1, 2, 3):
+        adj[0].add(v)
+        adj[v].add(0)
+        deg[0] += 1
+        deg[v] += 1
+
+    def complete():
+        u = next((v for v in range(n) if deg[v] < 3), None)
+        if u is None:
+            g = Graph(n, tuple(tuple(sorted(s)) for s in adj))
+            if (bfs_distances(g) >= 0).all():
+                yield g
+            return
+        need = 3 - deg[u]
+        candidates = [w for w in range(u + 1, n) if deg[w] < 3 and w not in adj[u]]
+        for combo in combinations(candidates, need):
+            for w in combo:
+                adj[u].add(w)
+                adj[w].add(u)
+                deg[u] += 1
+                deg[w] += 1
+            yield from complete()
+            for w in combo:
+                adj[u].remove(w)
+                adj[w].remove(u)
+                deg[u] -= 1
+                deg[w] -= 1
+
+    yield from complete()
+
+
 def divide_by_linear(coeffs, root):
     """Synthetic division of an ascending-coefficient polynomial by (x - root).
 

@@ -1,14 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
 from expanderlp import Graph, is_connected, regularity
+from expanderlp import enumeration
 from expanderlp.enumeration import (
+    MAX_PAIRINGS,
     connected_cubic_graphs,
+    connected_cubic_masks,
     random_connected_regular,
     random_regular_graph,
 )
-from oracles import cubic_graphs_brute
+from oracles import cubic_graphs_brute, cubic_graphs_dfs
 
 
 class TestRandomRegular:
@@ -36,6 +40,20 @@ class TestRandomRegular:
         a = random_regular_graph(10, 3, random.Random(5))
         b = random_regular_graph(10, 3, random.Random(5))
         assert a == b
+
+    def test_hopeless_pairing_raises_after_budget(self):
+        class CountingRandom(random.Random):
+            shuffles = 0
+
+            def shuffle(self, x):
+                self.shuffles += 1
+                super().shuffle(x)
+
+        rng = CountingRandom(0)
+        # a simple pairing of K_8's 56 stubs has probability about 5e-8
+        with pytest.raises(ValueError, match=f"7-regular graph on 8 vertices in {MAX_PAIRINGS} attempts"):
+            random_regular_graph(8, 7, rng)
+        assert rng.shuffles == MAX_PAIRINGS
 
 
 class TestExhaustiveCubic:
@@ -66,3 +84,20 @@ class TestExhaustiveCubic:
             list(connected_cubic_graphs(5))
         with pytest.raises(ValueError):
             list(connected_cubic_graphs(12))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_order_matches_dfs(self, n):
+        assert list(connected_cubic_graphs(n)) == list(cubic_graphs_dfs(n))
+
+    @pytest.mark.parametrize("rows", [1, 7, enumeration.BLOCK_ROWS])
+    def test_mask_blocks(self, monkeypatch, rows):
+        monkeypatch.setattr(enumeration, "BLOCK_ROWS", rows)
+        blocks = list(connected_cubic_masks(8))
+        assert all(b.dtype == np.uint16 and b.ndim == 2 and b.shape[1] == 8 for b in blocks)
+        assert all(1 <= len(b) <= rows for b in blocks)
+        decoded = [
+            Graph(8, tuple(tuple(v for v in range(8) if m >> v & 1) for m in row))
+            for b in blocks
+            for row in b.tolist()
+        ]
+        assert decoded == list(cubic_graphs_dfs(8))

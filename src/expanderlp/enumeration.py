@@ -36,6 +36,12 @@ __all__ = [
 # exp(12)) it gives up after seconds instead of running for minutes.
 MAX_PAIRINGS = 50_000
 
+# Simple graphs drawn by random_connected_regular before it gives up.  For
+# k >= 3 almost every draw is connected; for k = 2 only the draws that form a
+# single cycle are (about 2.5 / sqrt(n) of them: 0.11 at n = 512), so there
+# this budget fails with probability about e^-116.
+MAX_DRAWS = 1000
+
 # Most rows held in one block of connected_cubic_masks.  Whole levels of the
 # search do not fit: at n = 10 one level holds 310845 states.
 BLOCK_ROWS = 512
@@ -62,11 +68,18 @@ def random_regular_graph(n: int, k: int, rng: random.Random) -> Graph:
 
 
 def random_connected_regular(n: int, k: int, rng: random.Random) -> Graph:
-    """Random connected k-regular graph (rejection on connectivity)."""
-    while True:
+    """Random connected k-regular graph (rejection on connectivity).
+
+    Raises ValueError up front when no connected k-regular graph on n
+    vertices exists, and after MAX_DRAWS disconnected draws.
+    """
+    if n * k % 2 or not 0 <= k < n or (k < 2 and (n, k) not in ((1, 0), (2, 1))):
+        raise ValueError(f"no connected {k}-regular graph on {n} vertices exists")
+    for _ in range(MAX_DRAWS):
         g = random_regular_graph(n, k, rng)
         if is_connected(g):
             return g
+    raise ValueError(f"no connected {k}-regular graph on {n} vertices in {MAX_DRAWS} draws")
 
 
 def _check_cubic_order(n: int) -> None:

@@ -9,12 +9,18 @@ basis with
 Any connected k-regular graph whose adjacency eigenvalues other than k lie in
 the prescribed set has at most f(k)/f_0 vertices.  The optimal such bound is
 the optimum of a small linear program, solved here by a self-contained
-two-phase dense simplex with Bland's rule; with rational data the pivoting is
-exact.
+two-phase dense simplex with Bland's rule.  Float data are solved in
+float64.  Rational data are solved in float64 too, and the final basis is
+then proven optimal in exact arithmetic, as in Applegate, Cook, Dash and
+Espinoza (2007): B x_B = b and B^T y = c_B are solved by Bareiss's
+fraction-free elimination, and x_B >= 0 and every reduced cost >= 0 are
+checked on integers.  When that proof fails the Fraction simplex solves the
+LP from the start, so every exact verdict rests on exact arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -186,59 +192,65 @@ class LPSolution:
     variables: tuple
 
 
-def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
-    """Minimize c.x subject to rows of (coeffs, sense, rhs) with x >= 0.
+def _standard_form(c: list, rows: list, conv) -> tuple[list, list, list, list]:
+    """Rows (coeffs, sense, rhs) on x >= 0 as A z = b, z >= 0, b >= 0.
 
-    Dense two-phase tableau with Bland's rule; Fractions throughout when
-    exact, float64 with a pivot tolerance otherwise.
+    Rows with a negative rhs are negated first.  z is x followed by one slack
+    column per inequality, in row order: +1 in a "<=" row, -1 in a ">=" row.
+    Returns A, b, the cost of z (c, then zeros) and, per row, the column
+    that is a unit column of that row (its "<=" slack), or None.
     """
-    if exact:
-        conv = Fraction
-        zero, one = Fraction(0), Fraction(1)
-        tol = Fraction(0)
-    else:
-        conv = float
-        zero, one = 0.0, 1.0
-        tol = 1e-9
-    nvars = len(c)
     norm = []
     for coeffs, sense, rhs in rows:
         coeffs = [conv(a) for a in coeffs]
         rhs = conv(rhs)
-        if rhs < zero:
+        if rhs < 0:
             coeffs = [-a for a in coeffs]
             rhs = -rhs
             sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
         norm.append((coeffs, sense, rhs))
-    m = len(norm)
-    ncols = nvars
-    slack_col = {}
-    for r, (_, sense, _) in enumerate(norm):
-        if sense in ("<=", ">="):
-            slack_col[r] = ncols
-            ncols += 1
+    zero, one = conv(0), conv(1)
+    slacks = sum(sense != "==" for _, sense, _ in norm)
+    A, b, unit = [], [], []
+    col = len(c)
+    for coeffs, sense, rhs in norm:
+        row = coeffs + [zero] * slacks
+        if sense != "==":
+            row[col] = one if sense == "<=" else -one
+            col += 1
+        A.append(row)
+        b.append(rhs)
+        unit.append(col - 1 if sense == "<=" else None)
+    return A, b, [conv(a) for a in c] + [zero] * slacks, unit
+
+
+def _bland(A: list, b: list, cost: list, unit: list, exact: bool) -> tuple[str, list, list]:
+    """Minimize cost.z subject to A z = b, z >= 0, b >= 0.
+
+    Dense two-phase tableau with Bland's rule, starting from the unit
+    columns and one artificial column per row without one; Fractions
+    throughout when exact, float64 with a pivot tolerance otherwise.
+    Returns the status and, when optimal, the final basis and its values,
+    one per row left: phase 1 drops the rows it finds redundant.
+    """
+    if exact:
+        zero, one = Fraction(0), Fraction(1)
+        tol = Fraction(0)
+    else:
+        zero, one = 0.0, 1.0
+        tol = 1e-9
+    m = len(A)
+    real_cols = ncols = len(cost)
     art_col = {}
-    for r, (_, sense, _) in enumerate(norm):
-        if sense in (">=", "=="):
+    for r in range(m):
+        if unit[r] is None:
             art_col[r] = ncols
             ncols += 1
-    real_cols = nvars + len(slack_col)
-    tableau = [[zero] * (ncols + 1) for _ in range(m)]
-    basis = [-1] * m
-    for r, (coeffs, sense, rhs) in enumerate(norm):
-        for j, a in enumerate(coeffs):
-            tableau[r][j] = a
-        tableau[r][-1] = rhs
-        if sense == "<=":
-            tableau[r][slack_col[r]] = one
-            basis[r] = slack_col[r]
-        elif sense == ">=":
-            tableau[r][slack_col[r]] = -one
-            tableau[r][art_col[r]] = one
-            basis[r] = art_col[r]
-        else:
-            tableau[r][art_col[r]] = one
-            basis[r] = art_col[r]
+    tableau = [row + [zero] * (ncols - real_cols) + [rhs] for row, rhs in zip(A, b)]
+    basis = list(unit)
+    for r, col in art_col.items():
+        tableau[r][col] = one
+        basis[r] = col
 
     def nonzero(a) -> bool:
         return a != zero if exact else abs(a) > tol
@@ -296,7 +308,7 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
         art_set = set(art_col.values())
         infeas = sum(tableau[r][-1] for r in range(len(tableau)) if basis[r] in art_set)
         if (infeas > zero) if exact else (infeas > 1e-7):
-            return "infeasible", [], None
+            return "infeasible", [], []
         # Drive leftover zero-valued artificials out of the basis, dropping
         # rows that have become redundant, then discard artificial columns.
         drop = []
@@ -312,14 +324,111 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
             tableau = [row for r, row in enumerate(tableau) if r not in drop]
             basis = [b for r, b in enumerate(basis) if r not in drop]
         tableau = [row[:real_cols] + [row[-1]] for row in tableau]
-    cost2 = [conv(a) for a in c] + [zero] * (real_cols - nvars)
-    status = run(cost2) if tableau else "optimal"
+    status = run(cost) if tableau else "optimal"
+    if status != "optimal":
+        return status, [], []
+    return "optimal", basis, [row[-1] for row in tableau]
+
+
+def _integer_row(row: list) -> list:
+    """A row of ints and Fractions times the lcm of its denominators, as ints."""
+    scale = math.lcm(*(a.denominator for a in row))
+    return [a.numerator * (scale // a.denominator) for a in row]
+
+
+def _bareiss_solve(M: list, rhs: list) -> Optional[tuple[list, int]]:
+    """Solve M x = rhs exactly for a square matrix M of ints and Fractions.
+
+    Each row of [M | rhs] is scaled to integers, and Bareiss's (1968)
+    fraction-free elimination with row exchanges makes it upper triangular:
+    each update is an exact integer division by the previous pivot, and the
+    last pivot D is +-det M.  Back-substitution, the only step that divides,
+    gives x = X / D with X integer (Cramer).  Returns (X, D), or None when M
+    is singular.
+    """
+    n = len(M)
+    a = [_integer_row(list(row) + [r]) for row, r in zip(M, rhs)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return None
+        a[k], a[p] = a[p], a[k]
+        top, piv = a[k], a[k][k]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            a[i] = [0] * (k + 1) + [(piv * row[j] - f * top[j]) // prev for j in range(k + 1, n + 1)]
+        prev = piv
+    X = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        X[i] = (prev * row[n] - sum(row[j] * X[j] for j in range(i + 1, n))) // row[i]
+    return X, prev
+
+
+def _proven_optimal(A: list, b: list, cost: list, basis: list) -> Optional[list]:
+    """Basic values if basis is provably optimal for min cost.z, A z = b, z >= 0.
+
+    On the rows of [A | b] scaled to integers, with B the basis columns:
+    x_B = B^-1 b must be >= 0 (primal feasible), and with B^T y = c_B every
+    reduced cost c_j - y.A_j must be >= 0 (dual feasible).  Both hold
+    exactly or the answer is None, as it is for a singular B.
+    """
+    rows = [_integer_row(row + [rhs]) for row, rhs in zip(A, b)]
+    B = [[row[j] for j in basis] for row in rows]
+    primal = _bareiss_solve(B, [row[-1] for row in rows])
+    if primal is None:
+        return None
+    X, D = primal
+    if any(x * D < 0 for x in X):
+        return None
+    Y, E = _bareiss_solve([list(col) for col in zip(*B)], [cost[j] for j in basis])
+    basic = set(basis)
+    for j, cj in enumerate(cost):
+        # E * (c_j - y.A_j), whose sign times the sign of E is the reduced cost's
+        if j not in basic and (cj * E - sum(y * row[j] for y, row in zip(Y, rows))) * E < 0:
+            return None
+    return [Fraction(x, D) for x in X]
+
+
+def _verified_float_solve(A: list, b: list, cost: list, unit: list) -> Optional[tuple[str, list, list]]:
+    """The float64 tableau's optimal basis with exact values, if proven optimal.
+
+    None when the float run ends otherwise, drops a row, the data leave
+    float64's range, or _proven_optimal rejects the basis.
+    """
+    try:
+        floats = [[float(a) for a in row] for row in A], [float(v) for v in b], [float(v) for v in cost]
+    except OverflowError:
+        return None
+    status, basis, _ = _bland(*floats, unit, exact=False)
+    if status != "optimal" or len(basis) < len(A):
+        return None
+    values = _proven_optimal(A, b, cost, basis)
+    return None if values is None else ("optimal", basis, values)
+
+
+def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
+    """Minimize c.x subject to rows of (coeffs, sense, rhs) with x >= 0.
+
+    Float data run the two-phase Bland tableau in float64.  Exact data (ints
+    and Fractions) run that float tableau first and keep its final basis
+    only once _proven_optimal has shown it optimal in integer arithmetic.
+    Otherwise, or when the float run ends infeasible or unbounded or drops
+    a row, the Fraction tableau solves from the start.  So an exact
+    "optimal" always carries an exact proof, and "infeasible" or
+    "unbounded" on exact data comes only from exact pivoting.
+    """
+    conv = Fraction if exact else float
+    A, b, cost, unit = _standard_form(c, rows, conv)
+    solved = _verified_float_solve(A, b, cost, unit) if exact else None
+    status, basis, values = solved or _bland(A, b, cost, unit, exact=exact)
     if status != "optimal":
         return status, [], None
-    x = [zero] * nvars
-    for r in range(len(tableau)):
-        if basis[r] < nvars:
-            x[basis[r]] = tableau[r][-1]
+    x = [conv(0)] * len(c)
+    for col, value in zip(basis, values):
+        if col < len(c):
+            x[col] = value
     objective = sum(ci * xi for ci, xi in zip(c, x))
     return "optimal", x, objective
 

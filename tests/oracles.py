@@ -192,6 +192,23 @@ def mul_poly(a, b):
     return tuple(out)
 
 
+def solve_gauss_jordan(M, rhs):
+    """Solution of M x = rhs by Gauss-Jordan elimination over Fraction, or None if M is singular."""
+    n = len(M)
+    a = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(M, rhs)]
+    for col in range(n):
+        p = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if p is None:
+            return None
+        a[col], a[p] = a[p], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
+    return [row[n] for row in a]
+
+
 def expansion_brute(g: Graph) -> Fraction:
     """Edge expansion by direct subset enumeration, no Gray-code tricks."""
     n = g.n

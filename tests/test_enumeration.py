@@ -1,4 +1,5 @@
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from expanderlp import Graph, is_connected, regularity
 from expanderlp import enumeration
 from expanderlp.enumeration import (
+    MAX_DRAWS,
     MAX_PAIRINGS,
     connected_cubic_graphs,
     connected_cubic_masks,
@@ -35,6 +37,42 @@ class TestRandomRegular:
             g = random_connected_regular(10, 3, rng)
             assert is_connected(g)
             assert regularity(g) == 3
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (5, 0), (2, 0), (7, 3), (6, 6), (3, -1)])
+    def test_connected_variant_rejects_impossible_orders(self, n, k):
+        # (4, 1) and (5, 0) used to loop forever: every draw is disconnected
+        errors = []
+
+        def draw():
+            try:
+                random_connected_regular(n, k, random.Random(0))
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        worker = threading.Thread(target=draw, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert errors == [f"no connected {k}-regular graph on {n} vertices exists"]
+
+    def test_connected_variant_smallest_orders(self):
+        assert random_connected_regular(1, 0, random.Random(0)) == Graph.from_edges(1, [])
+        assert random_connected_regular(2, 1, random.Random(0)) == Graph.from_edges(2, [(0, 1)])
+        assert is_connected(random_connected_regular(3, 2, random.Random(0)))
+
+    def test_connected_variant_gives_up_after_budget(self, monkeypatch):
+        draws = 0
+
+        def never_connected(g):
+            nonlocal draws
+            draws += 1
+            assert draws <= MAX_DRAWS, "connectivity loop ran past its budget"
+            return False
+
+        monkeypatch.setattr(enumeration, "is_connected", never_connected)
+        with pytest.raises(ValueError, match=f"3-regular graph on 10 vertices in {MAX_DRAWS} draws"):
+            random_connected_regular(10, 3, random.Random(0))
+        assert draws == MAX_DRAWS
 
     def test_reproducible(self):
         a = random_regular_graph(10, 3, random.Random(5))

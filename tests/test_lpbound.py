@@ -1,9 +1,14 @@
+import random
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from expanderlp import lpbound
 from expanderlp import (
     MonomialPoly,
     SphereBasisPoly,
@@ -16,9 +21,11 @@ from expanderlp import (
     lp_bound_primal,
     parse_family,
     sphere_poly,
+    sphere_poly_monomial,
     spectrum,
     to_sphere_basis,
 )
+from oracles import solve_gauss_jordan
 
 
 def family(text):
@@ -319,3 +326,195 @@ def test_bound_formula_consistency(k, coeffs):
         assert cert.bound == Fraction(cert.value_at_k, cert.constant_term)
     else:
         assert cert.bound is None
+
+
+def cold(fn, *args):
+    """fn(*args) solved by the cold Fraction tableau alone: the oracle of the verified path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpbound, "_verified_float_solve", lambda *a: None)
+        return fn(*args)
+
+
+@contextmanager
+def float_pass(answer=None):
+    """Record every tableau run as its `exact` flag; answer(unit) replaces the float run's result."""
+    bland = lpbound._bland
+    runs = []
+
+    def spy(A, b, cost, unit, exact):
+        runs.append(exact)
+        if answer is not None and not exact:
+            return answer(unit)
+        return bland(A, b, cost, unit, exact=exact)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpbound, "_bland", spy)
+        yield runs
+
+
+def rounded_ball_zeros(k, d, denominator=1009):
+    """Zeros of B_d = S_0 + ... + S_d, rounded to multiples of 1/denominator."""
+    coeffs = [0] * (d + 1)
+    for i in range(d + 1):
+        for j, c in enumerate(sphere_poly_monomial(k, i).coeffs):
+            coeffs[j] += c
+    zeros = np.roots(coeffs[::-1]).real
+    return tuple(sorted({Fraction(round(z * denominator), denominator) for z in zeros}, reverse=True))
+
+
+def lp_feasible(fn, k, taus, u, x):
+    """Whether x satisfies the constraints of fn's LP exactly."""
+    S = [[sphere_poly(k, j, t) for j in range(1, u + 1)] for t in taus]
+    if any(v < 0 for v in x):
+        return False
+    if fn is lp_bound_dual:
+        return all(-sum(f * s for f, s in zip(x, row)) >= 1 for row in S)
+    return all(-sum(m * S[i][j] for i, m in enumerate(x)) <= k * (k - 1) ** j for j in range(u))
+
+
+# eigenvalues 1e-4..1e-12 apart: the float pass ends on a basis that the
+# exact check rejects (first dual, second and third primal) or calls the
+# dual LP unbounded (third)
+CLUSTERED = (
+    (4, (Fraction(-650000101, 250000000), Fraction(-260000000000723, 10**14), Fraction(-3249999999903, 1250000000000)), 7),
+    (3, (Fraction(-19999999999739, 5 * 10**13), Fraction(-4000000000409, 10**13), Fraction(-39999999999703, 10**14),
+         Fraction(-7999999877, 20000000000), Fraction(-399999131, 10**9)), 8),
+    (5, (Fraction(-499999999609, 5 * 10**12), Fraction(-500000000407, 5 * 10**12), Fraction(-99999971, 10**9),
+         Fraction(-3993, 40000)), 7),
+)
+
+
+@st.composite
+def rational_lp_data(draw):
+    """(k, eigenvalues, u): d <= 6 rationals spread over [-k, k) or clustered, 1 <= u <= 2d + 1."""
+    k = draw(st.integers(2, 8))
+    centre = draw(st.fractions(-k, k - 1, max_denominator=20))
+    spread = draw(st.sampled_from([Fraction(k), Fraction(1, 10**6), Fraction(1, 10**12)]))
+    offsets = draw(st.sets(st.fractions(-1, 1, max_denominator=1000), min_size=1, max_size=6))
+    taus = tuple({centre + spread * t for t in offsets if centre + spread * t < k})
+    assume(taus)
+    return k, taus, draw(st.integers(1, 2 * len(taus) + 1))
+
+
+class TestVerifiedBasis:
+    @given(rational_lp_data())
+    @example(CLUSTERED[0])
+    @example(CLUSTERED[1])
+    @example(CLUSTERED[2])
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_cold_simplex(self, data):
+        k, taus, u = data
+        for fn in (lp_bound_dual, lp_bound_primal):
+            sol = fn(k, taus, u)
+            assert sol == cold(fn, k, taus, u)
+            assert all(isinstance(v, Fraction) for v in sol.variables)
+
+    @pytest.mark.parametrize("k, taus, d", [(3, (2, 0, -2, -3), 4), (3, rounded_ball_zeros(3, 12), 12)], ids=["gq:2", "B_12"])
+    def test_cold_simplex_not_entered(self, k, taus, d):
+        assert len(taus) == d
+        for fn in (lp_bound_dual, lp_bound_primal):
+            with float_pass() as runs:
+                sol = fn(k, taus)
+            assert sol.status == "optimal"
+            assert runs == [False]
+
+    @pytest.mark.parametrize("fn", [lp_bound_dual, lp_bound_primal])
+    def test_every_handed_basis_gives_an_optimum(self, fn):
+        # any basis the float pass might end on, including singular,
+        # infeasible, non-optimal and short ones, is either proven optimal
+        # or sent to the cold solve; the Petersen dual has two optimal
+        # vertices, so an accepted basis may give the other one
+        k, taus, u = 3, (1, -2), 3
+        expected = cold(fn, k, taus, u)
+        m = 2 if fn is lp_bound_dual else 3
+        ncols = m + (3 if fn is lp_bound_dual else 2)
+        handed = [list(basis) for size in (m - 1, m) for basis in combinations(range(ncols), size)]
+        accepted = 0
+        for basis in handed:
+            with float_pass(lambda unit, basis=basis: ("optimal", basis, [])) as runs:
+                sol = fn(k, taus, u)
+            assert (sol.status, sol.objective) == (expected.status, expected.objective)
+            if runs == [False]:
+                accepted += 1
+                assert lp_feasible(fn, k, taus, u, sol.variables)
+            else:
+                assert sol == expected
+        assert 0 < accepted < len(handed)
+
+    def test_feasible_but_not_optimal_basis(self):
+        # the slack basis x = 0 is feasible for the primal LP and has
+        # objective 1; the exact reduced costs reject it
+        with float_pass(lambda unit: ("optimal", list(unit), [])) as runs:
+            sol = lp_bound_primal(3, (1, -2), 3)
+        assert sol == cold(lp_bound_primal, 3, (1, -2), 3)
+        assert sol.objective == 10
+        assert runs == [False, True]
+
+    @pytest.mark.parametrize("u", [1, 2, 3, 5, 8])
+    def test_exact_infeasible_stays_infeasible(self, u):
+        with float_pass() as runs:
+            sol = lp_bound_dual(3, (Fraction(29, 10),), u)
+        assert sol.status == "infeasible"
+        assert runs == [False, True]
+
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    def test_float_verdict_is_not_trusted(self, status):
+        with float_pass(lambda unit: (status, [], [])) as runs:
+            sol = lp_bound_dual(3, (1, -2), 3)
+        assert sol.objective == 10
+        assert runs == [False, True]
+
+    def test_float_infeasible_exact_optimal(self):
+        # S_1(tau) = -1e-20 is below the float pivot tolerance
+        tau = Fraction(-1, 10**20)
+        assert lp_bound_dual(3, (float(tau),), 1).status == "infeasible"
+        sol = lp_bound_dual(3, (tau,), 1)
+        assert sol.status == "optimal"
+        assert sol.objective == 1 + 3 * 10**20
+
+    def test_data_beyond_float_range(self):
+        # S_64(10**6) is about 1e384: the float pass cannot start
+        with float_pass() as runs:
+            sol = lp_bound_dual(10**6, (-(10**6) + 1,), 64)
+        assert runs == [True]
+        assert sol.status == "optimal"
+
+
+class TestBareissSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+    def test_matches_gauss_jordan(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            M = [[Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)] for _ in range(n)]
+            rhs = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)]
+            expected = solve_gauss_jordan(M, rhs)
+            assert expected is not None
+            X, D = lpbound._bareiss_solve(M, rhs)
+            assert [Fraction(x, D) for x in X] == expected
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_singular_gives_none(self, n):
+        rng = random.Random(100 + n)
+        M = [[Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)] for _ in range(n - 1)]
+        a, b = Fraction(rng.randint(1, 9), 7), Fraction(-rng.randint(1, 9), 11)
+        M.insert(rng.randrange(n), [a * x + b * y for x, y in zip(M[0], M[-1])])
+        assert lpbound._bareiss_solve(M, [1] * n) is None
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n), min_size=n, max_size=n),
+                st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_never_a_wrong_solution(self, system):
+        M, rhs = system
+        expected = solve_gauss_jordan(M, rhs)
+        solved = lpbound._bareiss_solve(M, rhs)
+        if expected is None:
+            assert solved is None
+        else:
+            X, D = solved
+            assert [Fraction(x, D) for x in X] == expected

@@ -11,9 +11,12 @@ one per checkout, shows every input whose reports changed:
     PYTHONPATH=<checkout B>/src python3 scripts/snapshot_outputs.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-Covered: `certify` (JSON and --text) and `analyze` (JSON and text) on the
-catalog families and a few extra graphs, `table2 --json`, and `bound --json`
-on the Petersen and Hoffman-Singleton eigenvalue sets, exact and float.
+Covered: `generate` on the catalog families; `certify` (JSON and --text)
+and `analyze` (JSON and text) on those families and a few extra graphs;
+`table2` (JSON and text); `bound` (JSON, and text for each --method) on the
+Petersen and Hoffman-Singleton eigenvalue sets, exact and float; and edge
+cases: a missing file, --degree 0, a zero denominator, a non-finite
+eigenvalue and a clustered float set.
 """
 
 import contextlib
@@ -35,6 +38,21 @@ BOUNDS = {
     "petersen-float": ("3", "1.0,-2.0"),
     "hoffman_singleton-exact": ("7", "2,-3"),
     "hoffman_singleton-float": ("7", "2.0,-3.0"),
+}
+
+MISSING_FILE = "no-such-dir/missing.g6"
+
+EDGE_CASES = {
+    "certify-missing-file": ["certify", MISSING_FILE],
+    "analyze-missing-file": ["analyze", MISSING_FILE],
+    "bound-degree-0": ["bound", "--k", "3", "--eigenvalues", "1,-2", "--degree", "0"],
+    "bound-zero-denominator": ["bound", "--k", "3", "--eigenvalues", "1/0"],
+    "bound-minus-inf": ["bound", "--k", "3", "--eigenvalues=-inf,1"],
+    # floats of eigenvalues 1e-12..1e-4 apart, at the float tableau's tolerances
+    "bound-clustered-floats": [
+        "bound", "--k", "5", "--eigenvalues=-0.0999999999218,-0.1000000000814,-0.099999971,-0.099825",
+        "--degree", "7", "--json",
+    ],
 }
 
 
@@ -76,6 +94,8 @@ def main() -> int:
     def write(name: str, argv: list) -> None:
         (outdir / f"{slug(name)}.txt").write_text(run(argv))
 
+    for spec in TABLE_SPECS:
+        write(f"generate-{spec}", ["generate", str(spec)])
     inputs = {}
     for family in [str(spec) for spec in TABLE_SPECS] + list(EXTRA_FAMILIES):
         out = io.StringIO()
@@ -96,8 +116,14 @@ def main() -> int:
         write(f"analyze-json-{name}", ["analyze", "--json", str(path)])
         write(f"analyze-text-{name}", ["analyze", str(path)])
     write("table2-json", ["table2", "--json"])
+    write("table2-text", ["table2"])
     for name, (k, eigenvalues) in BOUNDS.items():
-        write(f"bound-json-{name}", ["bound", "--k", k, "--eigenvalues", eigenvalues, "--json"])
+        argv = ["bound", "--k", k, "--eigenvalues", eigenvalues]
+        write(f"bound-json-{name}", argv + ["--json"])
+        for method in ("lp", "certificate", "both"):
+            write(f"bound-text-{method}-{name}", argv + ["--method", method])
+    for name, argv in EDGE_CASES.items():
+        write(name, argv)
     print(f"wrote {len(list(outdir.glob('*.txt')))} outputs to {outdir}")
     return 0
 

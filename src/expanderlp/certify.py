@@ -203,23 +203,20 @@ def certify(g: Graph, tol_cluster: Optional[float] = None, tol_slack: float = 1e
 def catalog_row(spec: FamilySpec) -> dict:
     """One catalog row, shared by `expanderlp table2` and the reproduction script.
 
-    The family is built from scratch and measured once; the row holds its
-    dual LP bound at u = 2d - 1, its spectrum certificate and whether the
-    graph attains that certificate.
+    The family is built from scratch and measured once by `certify`; the row
+    adds its dual LP bound at u = 2d - 1 to that report's spectrum,
+    certificate and attainment.
     """
-    g = build(spec)
-    k = regularity(g)
-    sp = spectrum(g)
-    sol = lp_bound_dual(k, sp.nontrivial, 2 * sp.d - 1)
-    cert = certificate_from_spectrum(k, sp.nontrivial)
+    r = certify(build(spec))
+    sol = lp_bound_dual(r.k, r.spec.nontrivial, 2 * r.spec.d - 1)
     return {
         "name": str(spec),
-        "v": g.n,
-        "k": k,
-        "girth": girth_bfs(g),
-        "d": sp.d,
-        "spectrum": [[e, m] for e, m in sp.entries],
+        "v": r.v,
+        "k": r.k,
+        "girth": r.girth,
+        "d": r.spec.d,
+        "spectrum": [[e, m] for e, m in r.spec.entries],
         "bound": None if sol.objective is None else float(sol.objective),
-        "certificate": [float(c) for c in cert.poly.coeffs],
-        "tight": check_attainment(g, cert, spec=sp).tight,
+        "certificate": [float(c) for c in r.certificate.poly.coeffs],
+        "tight": r.attainment.tight,
     }

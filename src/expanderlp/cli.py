@@ -1,11 +1,15 @@
-"""Command-line interface: analyze, bound, certify, generate, table2."""
+"""Command-line interface: analyze, bound, certify, generate, table2.
+
+Each subcommand's parser stores its handler as `run`; `main` calls it with
+the parsed namespace and turns parse, size-cap and value errors into
+`error: ...` on stderr with exit codes 2, 3 and 1.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,29 +28,13 @@ from .graphcore import (
 from .lpbound import certificate_from_spectrum, lp_bound_dual
 from .spectral import girth_spectral, spectrum
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_INVALID_CERT = 4
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation: subcommand, I/O selections and tolerance overrides."""
-
-    command: str
-    path: Optional[str] = None
-    as_json: bool = False
-    tol_cluster: Optional[float] = None
-    tol_slack: float = 1e-9
-    k: Optional[int] = None
-    eigenvalues: tuple = ()
-    degree: Optional[int] = None
-    method: str = "both"
-    family: Optional[str] = None
 
 
 def _read_graph(path: str) -> Graph:
@@ -75,7 +63,10 @@ def _parse_eigenvalues(text: str) -> tuple:
         except ValueError:
             pass
         if "/" in tok:
-            out.append(Fraction(tok))
+            try:
+                out.append(Fraction(tok))
+            except ZeroDivisionError:
+                raise ValueError(f"eigenvalue {tok} has a zero denominator") from None
             continue
         out.append(float(tok))
     return tuple(out)
@@ -97,12 +88,12 @@ def _fmt_spectrum(entries) -> str:
     return ", ".join(parts)
 
 
-def cmd_analyze(cfg: CliConfig) -> int:
-    g = _read_graph(cfg.path or "-")
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    g = _read_graph(ns.path)
     k = regularity(g)
     connected = is_connected(g)
     # the spectrum first: a graph past the size cap fails before the O(n^2) sweep
-    spec = spectrum(g, cfg.tol_cluster) if g.n else None
+    spec = spectrum(g, ns.tol_cluster) if g.n else None
     dist, girth, array = _level_sweep(g)
     theory = k is not None and connected and k >= 2
     info: dict = {
@@ -120,7 +111,7 @@ def cmd_analyze(cfg: CliConfig) -> int:
         if array is None or not theory
         else {"b": list(array.b), "c": list(array.c)},
     }
-    if cfg.as_json:
+    if ns.json:
         print(json.dumps(info, indent=2, allow_nan=False))
         return EXIT_OK
     print(f"vertices: {info['v']}")
@@ -143,25 +134,26 @@ def cmd_analyze(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bound(cfg: CliConfig) -> int:
-    out: dict = {"k": cfg.k, "eigenvalues": [float(t) for t in cfg.eigenvalues], "method": cfg.method}
+def cmd_bound(ns: argparse.Namespace) -> int:
+    eigenvalues = _parse_eigenvalues(ns.eigenvalues)
+    out: dict = {"k": ns.k, "eigenvalues": [float(t) for t in eigenvalues], "method": ns.method}
     invalid = False
-    if cfg.method in ("certificate", "both"):
-        cert = certificate_from_spectrum(cfg.k, cfg.eigenvalues, tol=cfg.tol_slack)
+    if ns.method in ("certificate", "both"):
+        cert = certificate_from_spectrum(ns.k, eigenvalues, tol=ns.tol_slack)
         out["certificate"] = {
             "bound": None if cert.bound is None else float(cert.bound),
             "f_coeffs": [float(c) for c in cert.poly.coeffs],
             "conditions": cert.conditions.to_json_dict(),
         }
         invalid = cert.bound is None
-    if cfg.method in ("lp", "both"):
-        sol = lp_bound_dual(cfg.k, cfg.eigenvalues, cfg.degree)
+    if ns.method in ("lp", "both"):
+        sol = lp_bound_dual(ns.k, eigenvalues, ns.degree)
         out["lp"] = {
             "status": sol.status,
             "bound": None if sol.objective is None else float(sol.objective),
             "f_coeffs": [float(x) for x in sol.variables],
         }
-    if cfg.as_json:
+    if ns.json:
         print(json.dumps(out, indent=2, allow_nan=False))
     else:
         if "certificate" in out:
@@ -174,18 +166,18 @@ def cmd_bound(cfg: CliConfig) -> int:
         if "lp" in out:
             lp = out["lp"]
             if lp["status"] == "optimal":
-                print(f"lp bound (degree <= {cfg.degree or 'default'}): {lp['bound']:.9g}")
+                print(f"lp bound (degree <= {ns.degree or 'default'}): {lp['bound']:.9g}")
             else:
                 print(f"lp: {lp['status']} (no finite bound at this degree)")
-    if cfg.method == "certificate" and invalid:
+    if ns.method == "certificate" and invalid:
         return EXIT_INVALID_CERT
     return EXIT_OK
 
 
-def cmd_certify(cfg: CliConfig) -> int:
-    g = _read_graph(cfg.path or "-")
-    report = run_certify(g, tol_cluster=cfg.tol_cluster, tol_slack=cfg.tol_slack)
-    if cfg.as_json:
+def cmd_certify(ns: argparse.Namespace) -> int:
+    g = _read_graph(ns.path)
+    report = run_certify(g, tol_cluster=ns.tol_cluster, tol_slack=ns.tol_slack)
+    if not ns.text:
         print(report.to_json())
     else:
         doc = report.to_json_dict()
@@ -202,8 +194,8 @@ def cmd_certify(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_generate(cfg: CliConfig) -> int:
-    spec = families.parse_family(cfg.family)
+def cmd_generate(ns: argparse.Namespace) -> int:
+    spec = families.parse_family(ns.family)
     g = families.build(spec)
     sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
     return EXIT_OK
@@ -212,9 +204,9 @@ def cmd_generate(cfg: CliConfig) -> int:
 _TABLE2_KEYS = ("name", "v", "k", "girth", "spectrum", "bound", "tight")
 
 
-def cmd_table2(cfg: CliConfig) -> int:
+def cmd_table2(ns: argparse.Namespace) -> int:
     rows = [catalog_row(spec) for spec in families.TABLE_SPECS]
-    if cfg.as_json:
+    if ns.json:
         rows = [{key: row[key] for key in _TABLE2_KEYS} for row in rows]
         print(json.dumps(rows, allow_nan=False))
         return EXIT_OK
@@ -240,6 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", default="-", help="graph6 file or - for stdin")
     p.add_argument("--json", action="store_true")
     p.add_argument("--tol-cluster", type=float, default=None)
+    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("bound", help="order bound for a degree and eigenvalue set")
     p.add_argument("--k", type=int, required=True)
@@ -248,53 +241,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("certificate", "lp", "both"), default="both")
     p.add_argument("--json", action="store_true")
     p.add_argument("--tol-slack", type=float, default=1e-9)
+    p.set_defaults(run=cmd_bound)
 
     p = sub.add_parser("certify", help="certify a graph6 input as spectrum-extremal")
     p.add_argument("path", nargs="?", default="-")
     p.add_argument("--text", action="store_true", help="human summary instead of JSON")
     p.add_argument("--tol-cluster", type=float, default=None)
     p.add_argument("--tol-slack", type=float, default=1e-9)
+    p.set_defaults(run=cmd_certify)
 
     p = sub.add_parser("generate", help="emit a named family member as graph6")
     p.add_argument("family", help="e.g. cycle:5, pg2:3, gq:2, kneser:7,3, petersen")
+    p.set_defaults(run=cmd_generate)
 
     p = sub.add_parser("table2", help="catalog of bundled certified families")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_table2)
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> CliConfig:
-    if ns.command == "analyze":
-        return CliConfig("analyze", path=ns.path, as_json=ns.json, tol_cluster=ns.tol_cluster)
-    if ns.command == "bound":
-        return CliConfig(
-            "bound", as_json=ns.json, tol_slack=ns.tol_slack, k=ns.k,
-            eigenvalues=_parse_eigenvalues(ns.eigenvalues), degree=ns.degree, method=ns.method,
-        )
-    if ns.command == "certify":
-        return CliConfig(
-            "certify", path=ns.path, as_json=not ns.text,
-            tol_cluster=ns.tol_cluster, tol_slack=ns.tol_slack,
-        )
-    if ns.command == "generate":
-        return CliConfig("generate", family=ns.family)
-    return CliConfig("table2", as_json=ns.json)
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "bound": cmd_bound,
-    "certify": cmd_certify,
-    "generate": cmd_generate,
-    "table2": cmd_table2,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(ns)
-        return _COMMANDS[cfg.command](cfg)
+        return ns.run(ns)
     except Graph6Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -60,6 +60,8 @@ def _validate_eigenvalues(k: int, eigenvalues: Sequence) -> tuple:
     if len(set(taus)) != len(taus):
         raise ValueError("prescribed eigenvalues must be distinct")
     for t in taus:
+        if not _is_rational(t) and not math.isfinite(t):
+            raise ValueError(f"prescribed eigenvalue {t} is not finite")
         if not t < k:
             raise ValueError(f"prescribed eigenvalue {t} not below k = {k}")
     return tuple(sorted(taus, reverse=True))
@@ -411,18 +413,29 @@ def _verified_float_solve(A: list, b: list, cost: list, unit: list) -> Optional[
 def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
     """Minimize c.x subject to rows of (coeffs, sense, rhs) with x >= 0.
 
+    The data are converted to Fraction when exact and to float otherwise.
     Float data run the two-phase Bland tableau in float64.  Exact data (ints
     and Fractions) run that float tableau first and keep its final basis
     only once _proven_optimal has shown it optimal in integer arithmetic.
     Otherwise, or when the float run ends infeasible or unbounded or drops
     a row, the Fraction tableau solves from the start.  So an exact
     "optimal" always carries an exact proof, and "infeasible" or
-    "unbounded" on exact data comes only from exact pivoting.
+    "unbounded" comes only from exact pivoting: on float data the Fraction
+    tableau re-solves the same floats, as the float tableau's tolerances
+    can stop a feasible, bounded LP early, and its values return as floats.
     """
     conv = Fraction if exact else float
     A, b, cost, unit = _standard_form(c, rows, conv)
     solved = _verified_float_solve(A, b, cost, unit) if exact else None
     status, basis, values = solved or _bland(A, b, cost, unit, exact=exact)
+    if status != "optimal" and not exact:
+        try:
+            data = _standard_form(c, rows, Fraction)
+        except (OverflowError, ValueError):  # values past float64's range
+            data = None
+        if data is not None:
+            status, basis, values = _bland(*data, exact=True)
+            values = [float(v) for v in values]
     if status != "optimal":
         return status, [], None
     x = [conv(0)] * len(c)
@@ -433,9 +446,19 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
     return "optimal", x, objective
 
 
-def _sphere_values(k: int, u: int, x, exact: bool) -> list:
-    """S_1(x)..S_u(x) in one forward pass, exact or float."""
-    return list(sphere_sequence(k, x if exact else float(x), u))[1:]
+def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: int) -> tuple:
+    """What both LPs share: u (default 2d - 1), whether the data are exact,
+    and S_1(tau)..S_u(tau) for each prescribed eigenvalue tau, largest first."""
+    taus = _validate_eigenvalues(k, eigenvalues)
+    if u is None:
+        u = 2 * len(taus) - 1
+    if u < least:
+        raise ValueError(f"{what} degree u must be >= {least}, got {u}")
+    if u > MAX_DEGREE:
+        raise ValueError(f"{what} degree {u} exceeds maximum {MAX_DEGREE}")
+    exact = all(_is_rational(t) for t in taus)
+    values = [list(sphere_sequence(k, t if exact else float(t), u))[1:] for t in taus]
+    return u, exact, values
 
 
 def lp_bound_dual(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> LPSolution:
@@ -445,22 +468,9 @@ def lp_bound_dual(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> LPS
     every prescribed eigenvalue, f_j >= 0.  Defaults to u = 2d - 1 where d is
     the number of prescribed eigenvalues.  Exact with rational data.
     """
-    taus = _validate_eigenvalues(k, eigenvalues)
-    d = len(taus)
-    if u is None:
-        u = 2 * d - 1
-    if u < 1:
-        raise ValueError(f"coefficient degree u must be >= 1, got {u}")
-    if u > MAX_DEGREE:
-        raise ValueError(f"coefficient degree {u} exceeds maximum {MAX_DEGREE}")
-    exact = all(_is_rational(t) for t in taus)
+    u, exact, values = _lp_data(k, eigenvalues, u, "coefficient", 1)
     c = [k * (k - 1) ** (j - 1) for j in range(1, u + 1)]
-    if not exact:
-        c = [float(a) for a in c]
-    rows = []
-    for t in taus:
-        vals = _sphere_values(k, u, t, exact)
-        rows.append(([-a for a in vals], ">=", 1))
+    rows = [([-a for a in vals], ">=", 1) for vals in values]
     status, x, objective = _simplex(c, rows, exact)
     if status != "optimal":
         return LPSolution(status, None, ())
@@ -474,25 +484,11 @@ def lp_bound_primal(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> L
     j = 1..u, m_i >= 0.  u = 0 leaves no constraints and yields the one-vertex
     objective.  Exact with rational data.
     """
-    taus = _validate_eigenvalues(k, eigenvalues)
-    d = len(taus)
-    if u is None:
-        u = 2 * d - 1
-    if u < 0:
-        raise ValueError(f"constraint degree u must be >= 0, got {u}")
-    if u > MAX_DEGREE:
-        raise ValueError(f"constraint degree {u} exceeds maximum {MAX_DEGREE}")
-    exact = all(_is_rational(t) for t in taus)
+    u, exact, cols = _lp_data(k, eigenvalues, u, "constraint", 0)
     if u == 0:
-        one = Fraction(1) if exact else 1.0
-        return LPSolution("optimal", one, ())
-    cols = [_sphere_values(k, u, t, exact) for t in taus]
-    rows = []
-    for j in range(u):
-        rhs = k * (k - 1) ** j
-        rows.append(([-cols[i][j] for i in range(d)], "<=", rhs if exact else float(rhs)))
-    c = [-1] * d if exact else [-1.0] * d
-    status, x, objective = _simplex(c, rows, exact)
+        return LPSolution("optimal", Fraction(1) if exact else 1.0, ())
+    rows = [([-col[j] for col in cols], "<=", k * (k - 1) ** j) for j in range(u)]
+    status, x, objective = _simplex([-1] * len(cols), rows, exact)
     if status != "optimal":
         return LPSolution(status, None, ())
     return LPSolution("optimal", 1 - objective, tuple(x))

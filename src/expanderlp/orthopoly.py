@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -152,12 +152,16 @@ class MonomialPoly:
         return poly
 
 
-@lru_cache(maxsize=None)
+def _monomial_table(k: int, n: int) -> list:
+    """S_0..S_n expanded in the monomial basis, in one pass of the recurrence."""
+    return list(sphere_sequence(k, MonomialPoly((0, 1)), n, one=MonomialPoly((1,))))
+
+
 def sphere_poly_monomial(k: int, i: int) -> MonomialPoly:
     """S_i expanded in the monomial basis; coefficients are exact ints."""
     _check_k(k)
     _check_index(i)
-    return list(sphere_sequence(k, MonomialPoly((0, 1)), i, one=MonomialPoly((1,))))[i]
+    return _monomial_table(k, i)[i]
 
 
 @dataclass(frozen=True)
@@ -189,13 +193,8 @@ class SphereBasisPoly:
         return reduce(operator.add, terms)
 
     def to_monomial(self) -> MonomialPoly:
-        out = [0] * (len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, a in enumerate(sphere_poly_monomial(self.k, i).coeffs):
-                out[j] = out[j] + c * a
-        return MonomialPoly(tuple(out))
+        terms = map(operator.mul, self.coeffs, _monomial_table(self.k, self.degree))
+        return reduce(operator.add, terms)
 
 
 def to_sphere_basis(k: int, poly: MonomialPoly) -> SphereBasisPoly:
@@ -208,13 +207,14 @@ def to_sphere_basis(k: int, poly: MonomialPoly) -> SphereBasisPoly:
     n = poly.degree
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
+    table = _monomial_table(k, n)
     work = list(poly.coeffs)
     out = [0] * (n + 1)
     for deg in range(n, -1, -1):
         lead = work[deg]
         out[deg] = lead
         if lead != 0:
-            for j, a in enumerate(sphere_poly_monomial(k, deg).coeffs):
+            for j, a in enumerate(table[deg].coeffs):
                 work[j] = work[j] - lead * a
     return SphereBasisPoly(k, tuple(out))
 

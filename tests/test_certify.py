@@ -2,10 +2,12 @@ import importlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from expanderlp import (
     MAX_DEGREE,
+    TABLE_SPECS,
     Graph,
     VERDICT_CERTIFIED,
     VERDICT_FAILED,
@@ -18,6 +20,7 @@ from expanderlp import (
     tutte_bound,
     write_graph6,
 )
+from expanderlp.certify import catalog_row
 from expanderlp.enumeration import random_regular_graph
 
 
@@ -278,3 +281,29 @@ class TestOneDistanceMatrix:
         doc = json.loads(capsys.readouterr().out)
         assert doc["diameter"] == 4 and doc["distance_regular"] is not None
         assert distance_calls == [30]
+
+
+class TestCatalogRow:
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+    def test_agrees_with_certify(self, spec):
+        row = catalog_row(spec)
+        report = certify(build(spec))
+        assert (row["v"], row["k"], row["girth"]) == (report.v, report.k, report.girth)
+        assert row["spectrum"] == [[e, m] for e, m in report.spec.entries]
+        assert row["tight"] is report.attainment.tight is True
+
+    def test_table2_measures_each_row_once(self, distance_calls, capsys, monkeypatch):
+        eigensolves = []
+        original = np.linalg.eigvalsh
+
+        def counted(a):
+            eigensolves.append(a.shape[0])
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cli = importlib.import_module("expanderlp.cli")
+        assert cli.main(["table2", "--json"]) == 0
+        orders = [row["v"] for row in json.loads(capsys.readouterr().out)]
+        assert len(orders) == len(TABLE_SPECS)
+        assert eigensolves == orders
+        assert distance_calls == orders

@@ -148,6 +148,31 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--k", "3", "--eigenvalues", "4")
         assert code == 1
 
+    def test_zero_denominator_exit_1(self, capsys):
+        code, out, err = run(capsys, "bound", "--k", "3", "--eigenvalues", "1/0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: eigenvalue 1/0 has a zero denominator\n"
+
+    @pytest.mark.parametrize("token", ["-inf", "inf", "nan", "-1e400"])
+    @pytest.mark.parametrize("method", ["certificate", "lp", "both"])
+    def test_non_finite_eigenvalue_exit_1(self, capsys, method, token):
+        code, out, err = run(capsys, "bound", "--k", "3", f"--eigenvalues={token},1", "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: prescribed eigenvalue") and err.endswith("is not finite\n")
+
+    def test_clustered_floats_optimal(self, capsys):
+        # the float tableau alone calls this dual LP unbounded
+        eigenvalues = "-0.0999999999218,-0.1000000000814,-0.099999971,-0.099825"
+        code, out, _ = run(
+            capsys, "bound", "--k", "5", f"--eigenvalues={eigenvalues}", "--degree", "7", "--method", "lp", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lp"]["status"] == "optimal"
+        assert doc["lp"]["bound"] == pytest.approx(5.0080160320772, rel=1e-12)
+
     def test_degree_flag(self, capsys):
         code, out, _ = run(
             capsys, "bound", "--k", "3", "--eigenvalues", "1,-2", "--degree", "1", "--method", "lp", "--json"

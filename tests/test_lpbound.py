@@ -465,9 +465,14 @@ class TestVerifiedBasis:
         assert runs == [False, True]
 
     def test_float_infeasible_exact_optimal(self):
-        # S_1(tau) = -1e-20 is below the float pivot tolerance
+        # S_1(tau) = -1e-20 is below the float pivot tolerance: the float
+        # tableau calls the LP infeasible, on float data as on exact data
         tau = Fraction(-1, 10**20)
-        assert lp_bound_dual(3, (float(tau),), 1).status == "infeasible"
+        with float_pass() as runs:
+            sol = lp_bound_dual(3, (float(tau),), 1)
+        assert runs == [False, True]
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1 + 3 * 10**20, rel=1e-15)
         sol = lp_bound_dual(3, (tau,), 1)
         assert sol.status == "optimal"
         assert sol.objective == 1 + 3 * 10**20
@@ -478,6 +483,53 @@ class TestVerifiedBasis:
             sol = lp_bound_dual(10**6, (-(10**6) + 1,), 64)
         assert runs == [True]
         assert sol.status == "optimal"
+
+
+class TestFloatVerdicts:
+    # CLUSTERED[2] as floats: the float tableau calls this dual LP unbounded,
+    # which it never is, as its objective is at least 1 on f >= 0
+    CLUSTERED_FLOATS = (5, tuple(float(t) for t in CLUSTERED[2][1]), 7)
+
+    def test_unbounded_float_dual_resolved_exactly(self):
+        k, taus, u = self.CLUSTERED_FLOATS
+        with float_pass() as runs:
+            sol = lp_bound_dual(k, taus, u)
+        assert runs == [False, True]
+        assert sol.status == "optimal"
+        assert all(isinstance(v, float) for v in sol.variables)
+        assert lp_feasible(lp_bound_dual, k, [Fraction(t) for t in taus], u, [Fraction(v) for v in sol.variables])
+        exact = lp_bound_dual(k, tuple(Fraction(t) for t in taus), u)
+        assert sol.objective == float(exact.objective)
+        assert sol.objective == pytest.approx(lp_bound_primal(k, taus, u).objective, rel=1e-9)
+
+    def test_float_infeasible_stays_infeasible(self):
+        with float_pass() as runs:
+            sol = lp_bound_dual(3, (2.9,), 1)
+        assert runs == [False, True]
+        assert sol == lpbound.LPSolution("infeasible", None, ())
+
+    def test_float_optimum_kept(self):
+        with float_pass() as runs:
+            sol = lp_bound_dual(3, (1.0, -2.0), 3)
+        assert runs == [False]
+        assert sol.status == "optimal"
+        assert all(isinstance(v, float) for v in sol.variables)
+
+    def test_data_past_float_range_keep_float_verdict(self):
+        # S_2(-1e200) overflows to inf, which no Fraction can hold: the
+        # unproven float verdict stands instead of an OverflowError
+        with float_pass() as runs:
+            sol = lp_bound_dual(3, (-1e200, 1.0), 3)
+        assert runs == [False]
+        assert sol.status != "optimal"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "fn", [lp_bound_dual, lp_bound_primal, certificate_from_spectrum], ids=["dual", "primal", "certificate"]
+    )
+    def test_non_finite_eigenvalue_rejected(self, fn, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            fn(3, (1.0, bad))
 
 
 class TestBareissSolve:

@@ -166,6 +166,9 @@ class TestSphereBasis:
         back = to_sphere_basis(k, p).to_monomial()
         assert back.coeffs == p.coeffs
 
+    def test_no_global_cache(self):
+        assert not hasattr(sphere_poly_monomial, "cache_info")
+
     def test_monomial_table_matches_recurrence(self):
         for k in (2, 3, 4, 6):
             for i in range(0, 10):

@@ -16,7 +16,7 @@ and `analyze` (JSON and text) on those families and a few extra graphs;
 `table2` (JSON and text); `bound` (JSON, and text for each --method) on the
 Petersen and Hoffman-Singleton eigenvalue sets, exact and float; and edge
 cases: a missing file, --degree 0, a zero denominator, a non-finite
-eigenvalue and a clustered float set.
+eigenvalue, float data past float64's range and a clustered float set.
 """
 
 import contextlib
@@ -48,6 +48,11 @@ EDGE_CASES = {
     "bound-degree-0": ["bound", "--k", "3", "--eigenvalues", "1,-2", "--degree", "0"],
     "bound-zero-denominator": ["bound", "--k", "3", "--eigenvalues", "1/0"],
     "bound-minus-inf": ["bound", "--k", "3", "--eigenvalues=-inf,1"],
+    # sphere values past float64's range: S_3(-1e200), and S_64(10**6) at k
+    "bound-float-overflow-eigenvalue": ["bound", "--k", "3", "--eigenvalues=-1e200,1", "--degree", "3"],
+    "bound-float-overflow-degree": [
+        "bound", "--k", "1000000", "--eigenvalues=0.5", "--degree", "64", "--method", "lp",
+    ],
     # floats of eigenvalues 1e-12..1e-4 apart, at the float tableau's tolerances
     "bound-clustered-floats": [
         "bound", "--k", "5", "--eigenvalues=-0.0999999999218,-0.1000000000814,-0.099999971,-0.099825",

@@ -143,7 +143,7 @@ def _not_applicable(g: Graph, k: Optional[int], reason: str) -> CertificationRep
     )
 
 
-def certify(g: Graph, tol_cluster: Optional[float] = None, tol_slack: float = 1e-9) -> CertificationReport:
+def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationReport:
     """Measure a graph and certify it as spectrum-extremal if the theory applies.
 
     Verdicts: certified (girth >= 2d, valid tight certificate), failed (the
@@ -174,7 +174,7 @@ def certify(g: Graph, tol_cluster: Optional[float] = None, tol_slack: float = 1e
             polygon_c = c_last
     cert = attainment = None
     if 2 * d - 1 <= MAX_DEGREE:
-        cert = certificate_from_spectrum(k, spec.nontrivial, tol=tol_slack)
+        cert = certificate_from_spectrum(k, spec.nontrivial)
         attainment = check_attainment(g, cert, spec=spec)
     verdict = VERDICT_CERTIFIED
     reason = None
@@ -201,11 +201,11 @@ def certify(g: Graph, tol_cluster: Optional[float] = None, tol_slack: float = 1e
 
 
 def catalog_row(spec: FamilySpec) -> dict:
-    """One catalog row, shared by `expanderlp table2` and the reproduction script.
+    """One row of `expanderlp table2`.
 
     The family is built from scratch and measured once by `certify`; the row
-    adds its dual LP bound at u = 2d - 1 to that report's spectrum,
-    certificate and attainment.
+    adds its dual LP bound at u = 2d - 1 to that report's spectrum and
+    attainment.
     """
     r = certify(build(spec))
     sol = lp_bound_dual(r.k, r.spec.nontrivial, 2 * r.spec.d - 1)
@@ -214,9 +214,7 @@ def catalog_row(spec: FamilySpec) -> dict:
         "v": r.v,
         "k": r.k,
         "girth": r.girth,
-        "d": r.spec.d,
         "spectrum": [[e, m] for e, m in r.spec.entries],
         "bound": None if sol.objective is None else float(sol.objective),
-        "certificate": [float(c) for c in r.certificate.poly.coeffs],
         "tight": r.attainment.tight,
     }

@@ -22,7 +22,6 @@ __all__ = [
     "all_pairs_distances",
     "distance_matrix",
     "diameter",
-    "nonbacktracking_walk_count",
     "IntersectionArray",
     "is_distance_regular",
     "ExpansionResult",
@@ -32,7 +31,6 @@ __all__ = [
 GRAPH6_HEADER = b">>graph6<<"
 GRAPH6_WRITE_CAP = 100_000
 EXPANSION_CAP = 24
-WALK_LENGTH_CAP = 12
 
 
 class Graph6Error(ValueError):
@@ -160,16 +158,12 @@ def write_graph6(g: Graph) -> bytes:
     if n > GRAPH6_WRITE_CAP:
         raise SizeCapError(f"graph6 writer capped at {GRAPH6_WRITE_CAP} vertices, got {n}")
     out = bytearray()
+    # GRAPH6_WRITE_CAP < 258048, so the 4-byte size header always suffices
     if n <= 62:
         out.append(n + 63)
-    elif n <= 258047:
-        out.append(126)
-        for shift in (12, 6, 0):
-            out.append(((n >> shift) & 63) + 63)
     else:
         out.append(126)
-        out.append(126)
-        for shift in (30, 24, 18, 12, 6, 0):
+        for shift in (12, 6, 0):
             out.append(((n >> shift) & 63) + 63)
     acc = 0
     nbits = 0
@@ -255,30 +249,6 @@ def diameter(g: Graph) -> int:
     if g.n == 0 or not is_connected(g):
         raise ValueError("diameter requires a nonempty connected graph")
     return int(all_pairs_distances(g).max())
-
-
-def nonbacktracking_walk_count(g: Graph, u: int, w: int, length: int) -> int:
-    """Number of length-i walks u -> w with no immediate backtracking.
-
-    Pure enumeration; serves as the independent oracle for the polynomial
-    evaluation route.  Guarded at length <= 12.
-    """
-    if length < 0:
-        raise ValueError("walk length must be nonnegative")
-    if length > WALK_LENGTH_CAP:
-        raise ValueError(f"walk enumeration capped at length {WALK_LENGTH_CAP}")
-    if not (0 <= u < g.n and 0 <= w < g.n):
-        raise ValueError("vertex out of range")
-    if length == 0:
-        return 1 if u == w else 0
-    nb = g.neighbors
-
-    def rec(prev: int, cur: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1 if cur == w else 0
-        return sum(rec(cur, nxt, remaining - 1) for nxt in nb[cur] if nxt != prev)
-
-    return sum(rec(u, x, length - 1) for x in nb[u])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ LP from the start, so every exact verdict rests on exact arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,7 +45,10 @@ __all__ = [
     "check_attainment",
 ]
 
+# Float slack allowed in the certificate's two inequality conditions.
 DEFAULT_SLACK_TOL = 1e-9
+# Float tolerance on the equality conditions of attainment and on bound == v.
+ATTAINMENT_TOL = 1e-6
 
 
 def _is_rational(x) -> bool:
@@ -119,30 +123,27 @@ class BoundCertificate:
     bound: object
 
 
-def check_certificate(
-    k: int,
-    eigenvalues: Sequence,
-    poly: SphereBasisPoly,
-    tol: float = DEFAULT_SLACK_TOL,
-) -> BoundCertificate:
+def check_certificate(k: int, eigenvalues: Sequence, poly: SphereBasisPoly) -> BoundCertificate:
     """Evaluate the four certificate conditions and the resulting bound.
 
-    The tolerance applies to the two inequality conditions (values at
+    DEFAULT_SLACK_TOL applies to the two inequality conditions (values at
     eigenvalues <= 0, coefficients >= 0), and only when some eigenvalue or
     coefficient is a float: exact data is compared against 0.  The strict
     positivity conditions are checked as given.  Invalid certificates are
-    reported, not raised.
+    reported, not raised; a float coefficient or value past float64's range,
+    whose comparisons would mean nothing, is a ValueError.
     """
     if poly.k != k:
         raise ValueError(f"certificate basis degree {poly.k} differs from k = {k}")
     taus = _validate_eigenvalues(k, eigenvalues)
-    if all(_is_rational(x) for x in taus + poly.coeffs):
-        tol = 0
+    tol = 0 if all(_is_rational(x) for x in taus + poly.coeffs) else DEFAULT_SLACK_TOL
     value_at_k = poly(k)
+    values = [poly(t) for t in taus]
+    if not all(_is_rational(x) or math.isfinite(x) for x in (value_at_k, *values, *poly.coeffs)):
+        raise ValueError("certificate coefficients or values exceed float64's range")
     cond1 = ConditionReport(value_at_k > 0, value_at_k)
     worst_val, worst_tau = None, None
-    for t in taus:
-        val = poly(t)
+    for t, val in zip(taus, values):
         if worst_val is None or val > worst_val:
             worst_val, worst_tau = val, t
     cond2 = ConditionReport(worst_val <= tol, -worst_val, worst_tau)
@@ -166,11 +167,7 @@ def check_certificate(
     return BoundCertificate(k, poly, taus, value_at_k, f0, conditions, bound)
 
 
-def certificate_from_spectrum(
-    k: int,
-    eigenvalues: Sequence,
-    tol: float = DEFAULT_SLACK_TOL,
-) -> BoundCertificate:
+def certificate_from_spectrum(k: int, eigenvalues: Sequence) -> BoundCertificate:
     """Certificate (x - t_1) * prod_{i>=2} (x - t_i)**2 for eigenvalues t_1 > t_2 > ...
 
     For a graph with d+1 distinct eigenvalues and girth >= 2d this certificate
@@ -182,7 +179,7 @@ def certificate_from_spectrum(
     if len(roots) > MAX_DEGREE:
         raise ValueError(f"certificate degree {len(roots)} exceeds maximum {MAX_DEGREE}")
     poly = to_sphere_basis(k, MonomialPoly.from_roots(roots))
-    return check_certificate(k, taus, poly, tol=tol)
+    return check_certificate(k, taus, poly)
 
 
 @dataclass(frozen=True)
@@ -429,13 +426,8 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
     solved = _verified_float_solve(A, b, cost, unit) if exact else None
     status, basis, values = solved or _bland(A, b, cost, unit, exact=exact)
     if status != "optimal" and not exact:
-        try:
-            data = _standard_form(c, rows, Fraction)
-        except (OverflowError, ValueError):  # values past float64's range
-            data = None
-        if data is not None:
-            status, basis, values = _bland(*data, exact=True)
-            values = [float(v) for v in values]
+        status, basis, values = _bland(*_standard_form(c, rows, Fraction), exact=True)
+        values = [float(v) for v in values]
     if status != "optimal":
         return status, [], None
     x = [conv(0)] * len(c)
@@ -448,7 +440,10 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
 
 def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: int) -> tuple:
     """What both LPs share: u (default 2d - 1), whether the data are exact,
-    and S_1(tau)..S_u(tau) for each prescribed eigenvalue tau, largest first."""
+    and S_1(tau)..S_u(tau) for each prescribed eigenvalue tau, largest first.
+
+    Float data must stay in float64's range: S_u(k) and every S_j(tau)
+    finite, or ValueError."""
     taus = _validate_eigenvalues(k, eigenvalues)
     if u is None:
         u = 2 * len(taus) - 1
@@ -457,7 +452,11 @@ def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: 
     if u > MAX_DEGREE:
         raise ValueError(f"{what} degree {u} exceeds maximum {MAX_DEGREE}")
     exact = all(_is_rational(t) for t in taus)
+    if not exact and list(sphere_sequence(k, k, u))[-1] > sys.float_info.max:
+        raise ValueError(f"S_{u}({k}) exceeds float64's range")
     values = [list(sphere_sequence(k, t if exact else float(t), u))[1:] for t in taus]
+    if not exact and not all(math.isfinite(v) for vals in values for v in vals):
+        raise ValueError(f"sphere values up to degree {u} at the eigenvalues exceed float64's range")
     return u, exact, values
 
 
@@ -508,16 +507,15 @@ class TightnessReport:
     order_matches: Optional[bool]
 
 
-def check_attainment(
-    g: Graph, cert: BoundCertificate, tol: float = 1e-6, spec: Optional[Spectrum] = None
-) -> TightnessReport:
+def check_attainment(g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] = None) -> TightnessReport:
     """Check the equality conditions of the bound against a concrete graph.
 
     The bound is attained iff f_i * trace(S_i(A)) = 0 for i = 1..deg f and
-    f vanishes at every eigenvalue of the graph other than k.  spec is the
-    graph's measured spectrum; it is computed with the default clustering
-    tolerance when not given.  A degree mismatch makes the certificate
-    inapplicable, reported rather than raised.
+    f vanishes at every eigenvalue of the graph other than k.  Both hold to
+    within ATTAINMENT_TOL, except that the trace products of an exact
+    certificate must be 0.  spec is the graph's measured spectrum; it is
+    computed with the default clustering tolerance when not given.  A degree
+    mismatch makes the certificate inapplicable, reported rather than raised.
     """
     k = regularity(g)
     if k is None:
@@ -540,10 +538,10 @@ def check_attainment(
     if exact:
         traces_ok = all(p == 0 for p in products)
     else:
-        traces_ok = all(abs(p) <= tol for p in products)
-    eigs_ok = all(abs(r) <= tol for r in residuals)
+        traces_ok = all(abs(p) <= ATTAINMENT_TOL for p in products)
+    eigs_ok = all(abs(r) <= ATTAINMENT_TOL for r in residuals)
     tight = traces_ok and eigs_ok
     order_matches = None
     if tight and cert.bound is not None:
-        order_matches = abs(float(cert.bound) - g.n) <= tol
+        order_matches = abs(float(cert.bound) - g.n) <= ATTAINMENT_TOL
     return TightnessReport(True, None, tight, tuple(products), residuals, g.n, cert.bound, order_matches)

@@ -69,8 +69,9 @@ def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
 
     Eigenvalues whose consecutive gaps are at most tol are merged into one
     entry whose value is the mean of the cluster.  Default tol is
-    1e-8 * max(1, max degree).  A tol so wide that the top cluster of a
-    connected regular graph no longer sits at k is bad input: ValueError.
+    1e-8 * max(1, max degree).  The top eigenvalue of a k-regular graph,
+    connected or not, is exactly k; a tol so wide that the top cluster no
+    longer sits at k is bad input: ValueError.
     """
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
@@ -87,10 +88,9 @@ def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
             entries.append((float(cluster.mean()), len(cluster)))
             start = i
     k = regularity(g)
-    if k is not None and is_connected(g):
+    if k is not None:
         if abs(entries[0][0] - k) > 1e-6:
             raise ValueError("eigensolver sanity check failed: top eigenvalue far from k")
-        # the Perron eigenvalue of a connected k-regular graph is exactly k
         entries[0] = (float(k), entries[0][1])
     return Spectrum(tuple(entries), tol, g.n)
 

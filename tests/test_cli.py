@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from expanderlp import cli
 from expanderlp.cli import main
 
 
@@ -162,6 +163,20 @@ class TestBound:
         assert out == ""
         assert err.startswith("error: prescribed eigenvalue") and err.endswith("is not finite\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "3", "--eigenvalues=-1e200,1", "--degree", "3"],
+            ["--k", "1000000", "--eigenvalues=0.5", "--degree", "64", "--method", "lp"],
+        ],
+        ids=["eigenvalue", "degree"],
+    )
+    def test_past_float_range_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "float64's range" in err
+
     def test_clustered_floats_optimal(self, capsys):
         # the float tableau alone calls this dual LP unbounded
         eigenvalues = "-0.0999999999218,-0.1000000000814,-0.099999971,-0.099825"
@@ -242,6 +257,21 @@ class TestTable2:
         for row in rows:
             assert row["tight"] is True
             assert row["bound"] == pytest.approx(row["v"], abs=1e-6)
+
+
+    @pytest.mark.parametrize("argv", [[], ["--json"]], ids=["text", "json"])
+    def test_loose_row_exit_1(self, capsys, monkeypatch, argv):
+        real_row = cli.catalog_row
+
+        def loosened(spec):
+            row = real_row(spec)
+            return {**row, "tight": False} if str(spec) == "petersen" else row
+
+        monkeypatch.setattr(cli, "catalog_row", loosened)
+        code, out, err = run(capsys, "table2", *argv)
+        assert code == 1
+        assert out
+        assert err == "error: bound not attained by petersen\n"
 
 
 class TestStdin:

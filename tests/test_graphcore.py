@@ -18,7 +18,6 @@ from expanderlp import (
     is_bipartite,
     is_connected,
     is_distance_regular,
-    nonbacktracking_walk_count,
     parse_family,
     regularity,
 )
@@ -142,32 +141,6 @@ class TestDistances:
         assert diameter(c_n(7)) == 3
         assert diameter(family("gq:2")) == 4
         assert diameter(family("hoffman_singleton")) == 2
-
-
-class TestWalkCounts:
-    def test_cycle_closing_walks(self):
-        g = c_n(5)
-        # the only non-backtracking closed walk of length 5 goes around, one way each
-        for v in range(5):
-            assert nonbacktracking_walk_count(g, v, v, 5) == 2
-        assert nonbacktracking_walk_count(g, 0, 0, 4) == 0
-        assert nonbacktracking_walk_count(g, 0, 1, 1) == 1
-        assert nonbacktracking_walk_count(g, 0, 1, 4) == 1
-
-    def test_k4_small_lengths(self):
-        g = k4()
-        # 0 -> a -> b -> 0 over distinct a, b in {1,2,3}: six triangles traversals
-        assert nonbacktracking_walk_count(g, 0, 0, 3) == 6
-        assert nonbacktracking_walk_count(g, 0, 1, 2) == 2
-
-    def test_length_zero(self):
-        g = k4()
-        assert nonbacktracking_walk_count(g, 0, 0, 0) == 1
-        assert nonbacktracking_walk_count(g, 0, 1, 0) == 0
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            nonbacktracking_walk_count(k4(), 0, 0, 13)
 
 
 class TestDistanceRegularity:

@@ -515,13 +515,31 @@ class TestFloatVerdicts:
         assert sol.status == "optimal"
         assert all(isinstance(v, float) for v in sol.variables)
 
-    def test_data_past_float_range_keep_float_verdict(self):
-        # S_2(-1e200) overflows to inf, which no Fraction can hold: the
-        # unproven float verdict stands instead of an OverflowError
-        with float_pass() as runs:
-            sol = lp_bound_dual(3, (-1e200, 1.0), 3)
-        assert runs == [False]
-        assert sol.status != "optimal"
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            # S_2(-1e200) overflows float64: the dual said "infeasible", though
+            # f = S_3 is feasible, and the primal "optimal" with a nan objective
+            (lp_bound_dual, (3, (-1e200, 1.0), 3)),
+            (lp_bound_primal, (3, (-1e200, 1.0), 3)),
+            # S_64(10**6) is about 1e384: float(S_j(k)) raised OverflowError
+            (lp_bound_dual, (1000000, (0.5,), 64)),
+            # (x - 1)(x + 1e200)^2 has a 1e400 coefficient, which came out inf and nan
+            (certificate_from_spectrum, (3, (-1e200, 1.0))),
+            # f = 1 + S_3 + S_4 is -7 at 2 but about 1e600 at -1e150, where float
+            # evaluation gives inf - inf = nan; the nan was skipped, and the bound 37 stood
+            (check_certificate, (3, (2.0, -1e150), SphereBasisPoly(3, (1.0, 0.0, 0.0, 1.0, 1.0)))),
+        ],
+        ids=["dual", "primal", "dual-degree", "certificate", "check-nan-value"],
+    )
+    def test_data_past_float_range_rejected(self, fn, args):
+        with pytest.raises(ValueError, match="float64's range"):
+            fn(*args)
+
+    def test_exact_data_past_float_range_stay_exact(self):
+        sol = lp_bound_dual(3, (-10**200, 1), 3)
+        assert sol.status == "optimal"
+        assert sol.objective == 4
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-SCAN = Path(__file__).resolve().parent.parent / "scripts" / "scan_cubic10.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCAN = SCRIPTS / "scan_cubic10.py"
+SNAPSHOT = SCRIPTS / "snapshot_outputs.py"
 
 
 def run_scan(monkeypatch, capsys, progress: int) -> list[str]:
@@ -32,3 +34,14 @@ def test_scan_cubic10_heartbeat(monkeypatch, capsys):
     lines = run_scan(monkeypatch, capsys, 50000)
     beats = [line for line in lines if line.lstrip().startswith("scanned ")]
     assert len(beats) >= 2
+
+
+def test_snapshot_outputs_raise_nothing(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "argv", [str(SNAPSHOT), str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SNAPSHOT), run_name="__main__")
+    assert exit_info.value.code == 0
+    outputs = sorted(tmp_path.glob("*.txt"))
+    assert len(outputs) == 122
+    raised = [p.name for p in outputs if p.read_text().startswith("exit: raised")]
+    assert raised == []

@@ -53,6 +53,7 @@ class TestSpectrum:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         sp = spectrum(g)
         assert sp.entries[0][1] == 2
+        assert sp.entries[0][0] == 2.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,12 @@ minimum is attained by the petersen graph at lambda_2 = 1.
 The graphs arrive as blocks of neighbour bitmasks from
 connected_cubic_masks.  Each block is expanded to a stack of float64
 adjacency matrices and solved by one batched eigvalsh call.  The winner is
-the first graph, in enumeration order, with the least lambda_2: the first
-minimum within a block, replaced only by a strictly smaller one in a later
-block.  A heartbeat is printed at the first block boundary at or past each
-multiple of N graphs.
+the first graph, in enumeration order, with the least lambda_2, where two
+values within TIE of each other count as equal: eigvalsh rounds the same
+lambda_2 of relabelled graphs differently, so an exact comparison would pick
+whichever labelling happens to round lowest.  A later block replaces the
+winner only with a lambda_2 more than TIE below it.  A heartbeat is printed
+at the first block boundary at or past each multiple of N graphs.
 """
 
 import argparse
@@ -25,6 +27,7 @@ from expanderlp import Graph, certify, girth_bfs, write_graph6
 from expanderlp.enumeration import connected_cubic_masks
 
 N = 10
+TIE = 1e-9
 
 
 def main() -> int:
@@ -41,8 +44,9 @@ def main() -> int:
     for block in connected_cubic_masks(N):
         adjacency = ((block[:, :, None] >> bits) & 1).astype(np.float64)
         second = np.linalg.eigvalsh(adjacency)[:, -2]
-        i = int(second.argmin())
-        if best is None or second[i] < best:
+        low = second.min()
+        if best is None or low < best - TIE:
+            i = int(np.argmax(second <= low + TIE))
             best = second[i]
             best_adjacency = adjacency[i]
         before, count = count, count + len(block)

@@ -15,8 +15,9 @@ Covered: `generate` on the catalog families; `certify` (JSON and --text)
 and `analyze` (JSON and text) on those families and a few extra graphs;
 `table2` (JSON and text); `bound` (JSON, and text for each --method) on the
 Petersen and Hoffman-Singleton eigenvalue sets, exact and float; and edge
-cases: a missing file, --degree 0, a zero denominator, a non-finite
-eigenvalue, float data past float64's range and a clustered float set.
+cases: a missing file, five malformed graph6 words, --degree 0, a zero
+denominator, a non-finite eigenvalue, float data past float64's range and a
+clustered float set.
 """
 
 import contextlib
@@ -31,7 +32,16 @@ from expanderlp.cli import main as cli_main
 from expanderlp.enumeration import random_regular_graph
 
 EXTRA_FAMILIES = ("cycle:18", "cycle:30", "cycle:66", "pg2:7", "pg2:8")
-RANDOM_CUBIC_SEED = 7
+RANDOM_CUBIC = ((64, 7), (512, 1))  # (vertices, generator seed)
+
+# certify on each: the parser's error and its byte offset
+MALFORMED_WORDS = {
+    "byte-out-of-range": "D~\x7f",
+    "nonzero-padding": "A~",
+    "trailing-garbage": "D~{A",
+    "truncated-size-field": "~~A",
+    "truncated-adjacency": "D~",
+}
 
 BOUNDS = {
     "petersen-exact": ("3", "1,-2"),
@@ -77,15 +87,19 @@ def run(argv: list) -> str:
 
 
 def extra_graphs() -> dict:
-    """Inputs outside the family names: prism, path, two triangles, random cubic."""
+    """Inputs outside the family names: prism, path, two triangles, random cubic.
+
+    The 512-vertex random cubic graph sits at the spectral cap and needs the
+    4-byte graph6 size field.
+    """
     triangle = [(0, 1), (1, 2), (0, 2)]
     return {
         "prism": Graph.from_edges(6, triangle + [(3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
         "path:5": Graph.from_edges(5, [(i, i + 1) for i in range(4)]),
         "two_triangles": Graph.from_edges(6, triangle + [(3, 4), (4, 5), (3, 5)]),
-        f"random_cubic:64,{RANDOM_CUBIC_SEED}": random_regular_graph(
-            64, 3, random.Random(RANDOM_CUBIC_SEED)
-        ),
+    } | {
+        f"random_cubic:{n},{seed}": random_regular_graph(n, 3, random.Random(seed))
+        for n, seed in RANDOM_CUBIC
     }
 
 
@@ -120,6 +134,10 @@ def main() -> int:
         write(f"certify-text-{name}", ["certify", "--text", str(path)])
         write(f"analyze-json-{name}", ["analyze", "--json", str(path)])
         write(f"analyze-text-{name}", ["analyze", str(path)])
+    for name, word in MALFORMED_WORDS.items():
+        path = graphs / f"malformed-{name}.g6"
+        path.write_text(word + "\n")
+        write(f"certify-malformed-{name}", ["certify", str(path)])
     write("table2-json", ["table2", "--json"])
     write("table2-text", ["table2"])
     for name, (k, eigenvalues) in BOUNDS.items():

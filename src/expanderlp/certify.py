@@ -175,7 +175,7 @@ def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationRepor
     cert = attainment = None
     if 2 * d - 1 <= MAX_DEGREE:
         cert = certificate_from_spectrum(k, spec.nontrivial)
-        attainment = check_attainment(g, cert, spec=spec)
+        attainment = check_attainment(g, cert, spec=spec, girth=girth)
     verdict = VERDICT_CERTIFIED
     reason = None
     if girth < 2 * d:

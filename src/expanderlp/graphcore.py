@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -83,10 +84,15 @@ class Graph:
 
     def adjacency_matrix(self, dtype=np.int64) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=dtype)
-        for u in range(self.n):
-            for v in self.neighbors[u]:
-                a[u, v] = 1
+        a[_arcs(self)] = 1
         return a
+
+
+def _arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the 2|E| arcs (u, v), by u and then v ascending."""
+    tails = np.repeat(np.arange(g.n), list(map(len, g.neighbors)))
+    heads = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp, count=len(tails))
+    return tails, heads
 
 
 def _g6_size(body: bytes, base: int) -> tuple[int, int]:
@@ -113,7 +119,14 @@ def _g6_size(body: bytes, base: int) -> tuple[int, int]:
 
 
 def parse_graph6(data) -> Graph:
-    """Parse one graph6 word (optional >>graph6<< header allowed)."""
+    """Parse one graph6 word (optional >>graph6<< header allowed).
+
+    The adjacency bytes are decoded as one array: each is range-checked,
+    its six bits are unpacked, and each set bit s, counted through the upper
+    triangle column by column, is mapped back to its pair (i, j), i < j,
+    with s = j(j - 1)/2 + i.  A malformed word raises Graph6Error at the
+    offset of its first bad byte.
+    """
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
@@ -132,24 +145,18 @@ def parse_graph6(data) -> Graph:
         raise Graph6Error("truncated adjacency data", base + len(data))
     if len(data) - pos > need:
         raise Graph6Error("trailing garbage", base + pos + need)
-    vals = []
-    for off in range(need):
-        b = data[pos + off]
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside graph6 range 63..126", base + pos + off)
-        vals.append(b - 63)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (vals[idx // 6] >> (5 - idx % 6)) & 1:
-                edges.append((i, j))
-            idx += 1
-    if bits_needed % 6:
-        mask = (1 << (6 - bits_needed % 6)) - 1
-        if vals[-1] & mask:
-            raise Graph6Error("nonzero padding bits", base + pos + need - 1)
-    return Graph.from_edges(n, edges)
+    body = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+    bad = np.flatnonzero((body < 63) | (body > 126))
+    if bad.size:
+        off = int(bad[0])
+        raise Graph6Error(f"byte {body[off]} outside graph6 range 63..126", base + pos + off)
+    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].ravel()
+    if bits[bits_needed:].any():
+        raise Graph6Error("nonzero padding bits", base + pos + need - 1)
+    s = np.flatnonzero(bits)
+    col_start = np.arange(n) * (np.arange(n) - 1) // 2
+    j = np.searchsorted(col_start, s, side="right") - 1
+    return Graph.from_edges(n, zip((s - col_start[j]).tolist(), j.tolist()))
 
 
 def write_graph6(g: Graph) -> bytes:
@@ -157,26 +164,16 @@ def write_graph6(g: Graph) -> bytes:
     n = g.n
     if n > GRAPH6_WRITE_CAP:
         raise SizeCapError(f"graph6 writer capped at {GRAPH6_WRITE_CAP} vertices, got {n}")
-    out = bytearray()
     # GRAPH6_WRITE_CAP < 258048, so the 4-byte size header always suffices
     if n <= 62:
-        out.append(n + 63)
+        head = bytes([n + 63])
     else:
-        out.append(126)
-        for shift in (12, 6, 0):
-            out.append(((n >> shift) & 63) + 63)
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+        head = bytes([126] + [((n >> shift) & 63) + 63 for shift in (12, 6, 0)])
+    i, j = _arcs(g)
+    up = i < j
+    bits = np.zeros(6 * ((n * (n - 1) // 2 + 5) // 6), dtype=np.uint8)
+    bits[j[up] * (j[up] - 1) // 2 + i[up]] = 1
+    return head + ((np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63).tobytes()
 
 
 def regularity(g: Graph) -> Optional[int]:
@@ -315,35 +312,43 @@ def _level_sweep(g: Graph) -> tuple[np.ndarray, Optional[int], Optional[Intersec
     and b_l is k - down - same, required constant on each distance class;
     otherwise the array is None.  dist is int16 (int32 from 2**15 vertices
     on), -1 for unreachable pairs.
+
+    Levels and distances are symmetric, so the sweep gathers whole rows,
+    level[z] and dist[z] for the j-th neighbour z of every y, rather than
+    columns, with row n as the sentinel; down and same come out transposed,
+    which neither the girth minima nor the per-class constancy test can
+    tell.  Rather than scattering l into each level, every step adds 1 to
+    each pair not yet reached, so dist(x, y) counts the levels before y's.
     """
     n = g.n
     width = max(map(len, g.neighbors), default=0)
-    # neighbour lists padded with the sentinel column n
+    # neighbour lists padded with the sentinel row n
+    tails, heads = _arcs(g)
     nbr = np.full((n, width), n, dtype=np.intp)
-    for y, row in enumerate(g.neighbors):
-        nbr[y, : len(row)] = row
-    dist = np.full((n, n + 1), -1, dtype=np.int16 if n < 2**15 else np.int32)
-    level = np.eye(n, n + 1, dtype=bool)
-    ell = 0
+    nbr[tails, np.arange(tails.size) - np.searchsorted(tails, tails)] = heads
+    seen = np.eye(n + 1, n, dtype=bool)
+    level = seen.copy()
+    dist = (~seen).astype(np.int16 if n < 2**15 else np.int32)
     while level.any():
-        dist[level] = ell
         nxt = np.zeros_like(level)
         for j in range(width):
-            nxt[:, :n] |= level[:, nbr[:, j]]
-        nxt &= dist < 0
-        level, ell = nxt, ell + 1
-    dist[:, n] = n  # a padded slot lies farther than any vertex: never counted
-    d = dist[:, :n]
+            nxt[:n] |= level[nbr[:, j]]
+        level = nxt & ~seen
+        seen |= level
+        dist += ~seen
+    dist[~seen] = -1
+    dist[n] = n  # a padded slot lies farther than any vertex: never counted
+    d = dist[:n]
     down = np.zeros((n, n), dtype=np.min_scalar_type(width))
     same = np.zeros_like(down)
     for j in range(width):
         # a neighbour of y lies at distance dist(x, y) - 1, dist(x, y) or + 1
-        nd = dist[:, nbr[:, j]]
+        nd = dist[nbr[:, j]]
         down += nd < d
         same += nd == d
     reach = d >= 0
-    odd = int(d.min(where=(same > 0) & reach, initial=n))
-    even = int(d.min(where=(down > 1) & reach, initial=n))
+    odd = int(d.ravel()[np.flatnonzero((same > 0) & reach)].min(initial=n))
+    even = int(d.ravel()[np.flatnonzero((down > 1) & reach)].min(initial=n))
     girth = min(2 * odd + 1, 2 * even) if min(odd, even) < n else None
     k = regularity(g)
     if k is None or not reach.all():

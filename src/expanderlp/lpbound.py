@@ -507,14 +507,19 @@ class TightnessReport:
     order_matches: Optional[bool]
 
 
-def check_attainment(g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] = None) -> TightnessReport:
+def check_attainment(
+    g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] = None, girth: Optional[int] = None
+) -> TightnessReport:
     """Check the equality conditions of the bound against a concrete graph.
 
     The bound is attained iff f_i * trace(S_i(A)) = 0 for i = 1..deg f and
     f vanishes at every eigenvalue of the graph other than k.  Both hold to
     within ATTAINMENT_TOL, except that the trace products of an exact
     certificate must be 0.  spec is the graph's measured spectrum; it is
-    computed with the default clustering tolerance when not given.  A degree
+    computed with the default clustering tolerance when not given.  girth is
+    the graph's measured girth; when it exceeds deg f, every tr S_i(A) with
+    1 <= i <= deg f is 0, since a closed non-backtracking walk of length i
+    contains a cycle of length at most i, and no matrix is formed.  A degree
     mismatch makes the certificate inapplicable, reported rather than raised.
     """
     k = regularity(g)
@@ -529,7 +534,10 @@ def check_attainment(g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] 
         return TightnessReport(False, "graph is not connected", False, (), (), g.n, cert.bound, None)
     if not cert.conditions.all_ok():
         return TightnessReport(False, "certificate conditions fail", False, (), (), g.n, cert.bound, None)
-    traces = [int(np.trace(m)) for m in sphere_poly_matrices(g, cert.poly.degree)]
+    if girth is not None and girth > cert.poly.degree:
+        traces = [g.n] + [0] * cert.poly.degree
+    else:
+        traces = [int(np.trace(m)) for m in sphere_poly_matrices(g, cert.poly.degree)]
     products = [c * tr for c, tr in zip(cert.poly.coeffs[1:], traces[1:])]
     if spec is None:
         spec = spectrum(g)

@@ -80,13 +80,11 @@ def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
     if tol is None:
         tol = 1e-8 * max(1, max(len(s) for s in g.neighbors))
     eig = np.linalg.eigvalsh(g.adjacency_matrix(dtype=np.float64))[::-1]
+    ends = (np.flatnonzero(eig[:-1] - eig[1:] > tol) + 1).tolist() + [len(eig)]
     entries = []
-    start = 0
-    for i in range(1, len(eig) + 1):
-        if i == len(eig) or eig[i - 1] - eig[i] > tol:
-            cluster = eig[start:i]
-            entries.append((float(cluster.mean()), len(cluster)))
-            start = i
+    for start, stop in zip([0] + ends, ends):
+        value = eig[start] if stop - start == 1 else eig[start:stop].mean()
+        entries.append((float(value), stop - start))
     k = regularity(g)
     if k is not None:
         if abs(entries[0][0] - k) > 1e-6:

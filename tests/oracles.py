@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from expanderlp import Graph
+from expanderlp import Graph, Graph6Error
 
 
 def walk_count_matrix(g: Graph, length: int) -> np.ndarray:
@@ -225,3 +225,77 @@ def expansion_brute(g: Graph) -> Fraction:
             if best is None or val < best:
                 best = val
     return best
+
+
+def graph6_decode(data) -> Graph:
+    """graph6 word to Graph by a bit-at-a-time loop, raising Graph6Error like parse_graph6.
+
+    Checks, in order: header, empty word, size field (range, truncation),
+    adjacency length (truncation, trailing garbage), the range of each
+    adjacency byte, then the padding bits of the last one.
+    """
+    if isinstance(data, str):
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error("non-ASCII input", exc.start) from None
+    base = 0
+    if data.startswith(b">>graph6<<"):
+        base = len(b">>graph6<<")
+        data = data[base:]
+    if not data:
+        raise Graph6Error("empty graph6 string", base)
+
+    def value(off: int) -> int:
+        b = data[off]
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"byte {b} outside graph6 range 63..126", base + off)
+        return b - 63
+
+    if data[0] != 126:
+        n, pos = value(0), 1
+    else:
+        width, pos = (6, 2) if data[1:2] == b"~" else (3, 1)
+        if len(data) < pos + width:
+            raise Graph6Error("truncated size field", base + len(data))
+        n = 0
+        for off in range(pos, pos + width):
+            n = (n << 6) | value(off)
+        pos += width
+    bits_needed = n * (n - 1) // 2
+    need = (bits_needed + 5) // 6
+    if len(data) - pos < need:
+        raise Graph6Error("truncated adjacency data", base + len(data))
+    if len(data) - pos > need:
+        raise Graph6Error("trailing garbage", base + pos + need)
+    vals = [value(pos + off) for off in range(need)]
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (vals[idx // 6] >> (5 - idx % 6)) & 1:
+                edges.append((i, j))
+            idx += 1
+    if bits_needed % 6 and vals[-1] & ((1 << (6 - bits_needed % 6)) - 1):
+        raise Graph6Error("nonzero padding bits", base + pos + need - 1)
+    return Graph.from_edges(n, edges)
+
+
+def graph6_encode(g: Graph) -> bytes:
+    """graph6 word of a graph with at most 258047 vertices, six bits at a time."""
+    n = g.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126] + [((n >> shift) & 63) + 63 for shift in (12, 6, 0)])
+    acc = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return bytes(out)

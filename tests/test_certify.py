@@ -14,6 +14,7 @@ from expanderlp import (
     VERDICT_NOT_APPLICABLE,
     build,
     certify,
+    check_attainment,
     moore_bound,
     moore_polygon_array,
     parse_family,
@@ -281,6 +282,49 @@ class TestOneDistanceMatrix:
         doc = json.loads(capsys.readouterr().out)
         assert doc["diameter"] == 4 and doc["distance_regular"] is not None
         assert distance_calls == [30]
+
+
+@pytest.fixture
+def matrix_passes(monkeypatch):
+    """Degrees of the sphere_poly_matrices passes that check_attainment starts."""
+    calls = []
+    lpbound = importlib.import_module("expanderlp.lpbound")
+    original = lpbound.sphere_poly_matrices
+
+    def counted(g, upto):
+        calls.append(upto)
+        return original(g, upto)
+
+    monkeypatch.setattr(lpbound, "sphere_poly_matrices", counted)
+    return calls
+
+
+class TestTracesFromGirth:
+    """certify hands check_attainment its girth; past deg f the traces are 0 without a matrix."""
+
+    @pytest.mark.parametrize(
+        "name", [str(s) for s in TABLE_SPECS] + ["pg2:7", "pg2:8", "cycle:18", "cycle:30"]
+    )
+    def test_agrees_with_matrix_pass(self, name, matrix_passes):
+        g = family(name)
+        report = certify(g)
+        assert matrix_passes == []
+        # products, residuals, tight and the rest of the report
+        assert report.attainment == check_attainment(g, report.certificate, spec=report.spec)
+        if report.verdict == VERDICT_CERTIFIED:
+            # the standalone check did form the matrices, and found every trace 0
+            assert matrix_passes == [report.certificate.poly.degree]
+            assert len(report.attainment.trace_products) == report.certificate.poly.degree
+
+    def test_prism_takes_matrix_pass(self, matrix_passes):
+        prism = Graph.from_edges(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+        )
+        report = certify(prism)
+        assert (report.girth, report.certificate.poly.degree) == (3, 5)
+        assert matrix_passes == [5]
+        assert report.attainment.tight is False
+        assert report.attainment.trace_products[2] != 0
 
 
 class TestCatalogRow:

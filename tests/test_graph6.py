@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from expanderlp import Graph, Graph6Error, SizeCapError, parse_graph6, write_graph6
 
+from oracles import graph6_decode, graph6_encode
+
 
 def k_n(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -97,6 +99,18 @@ def random_graph(rng, n):
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def graphs(draw, max_n=70):
+    """Graphs on 0..max_n vertices, from empty to complete; 62/63 crosses the size-field switch."""
+    import random
+
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from([0.0, 0.05, 0.4, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**31 - 1)))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    return Graph.from_edges(n, edges)
+
+
 class TestRoundTrip:
     def test_corpus(self):
         import random
@@ -111,12 +125,73 @@ class TestRoundTrip:
                 count += 1
         assert count >= 50
 
-    @given(st.integers(0, 30), st.integers(0, 2**31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, n, seed):
-        import random
-
-        g = random_graph(random.Random(seed), n)
+    @given(graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_property(self, g):
         word = write_graph6(g)
         assert all(63 <= b <= 126 for b in word)
         assert parse_graph6(word) == g
+
+
+@st.composite
+def mangled_words(draw):
+    """Valid words with one byte replaced, inserted or dropped, one bit flipped, or cut short.
+
+    A flipped bit of the last byte sets a padding bit whenever the
+    adjacency bits do not fill that byte.
+    """
+    word = bytearray(graph6_encode(draw(graphs())))
+    pos = draw(st.integers(0, len(word)))
+    byte = draw(st.one_of(st.integers(63, 126), st.sampled_from([62, 127]), st.integers(0, 255)))
+    edit = draw(st.sampled_from(["replace", "insert", "drop", "flip", "flip-last", "cut"]))
+    if edit == "flip-last":
+        edit, pos = "flip", len(word) - 1
+    if edit == "replace" and pos < len(word):
+        word[pos] = byte
+    elif edit == "flip" and pos < len(word):
+        word[pos] = ((word[pos] - 63) ^ (1 << draw(st.integers(0, 5)))) + 63
+    elif edit == "insert":
+        word.insert(pos, byte)
+    elif edit == "drop" and pos < len(word):
+        del word[pos]
+    elif edit == "cut":
+        del word[pos:]
+    header = draw(st.booleans())
+    return (b">>graph6<<" if header else b"") + bytes(word)
+
+
+def outcome(parse, data):
+    """The Graph a parser returns, or the message and offset of its Graph6Error."""
+    try:
+        return parse(data)
+    except Graph6Error as exc:
+        return (str(exc), exc.offset)
+
+
+class TestAgainstOracle:
+    """parse_graph6 and write_graph6 against the bit-at-a-time codec in tests/oracles.py."""
+
+    @given(graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_writer_matches_oracle(self, g):
+        assert write_graph6(g) == graph6_encode(g)
+
+    @given(graphs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_parser_matches_oracle_on_valid_words(self, g, header):
+        word = (b">>graph6<<" if header else b"") + graph6_encode(g)
+        assert parse_graph6(word) == graph6_decode(word) == g
+
+    @given(st.one_of(st.binary(max_size=24), mangled_words()))
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_bytes_match_oracle(self, data):
+        # a Graph equal to the oracle's, or the oracle's message and offset;
+        # any other exception fails the test
+        assert outcome(parse_graph6, data) == outcome(graph6_decode, data)
+
+    @pytest.mark.parametrize(
+        "word", [b"D~\x7f", b"D~>", b"A~", b"AO", b"D~{A", b"~~A", b"D~", b"~?A", b"~~?????A", b"?A", b""]
+    )
+    def test_malformed_examples_match_oracle(self, word):
+        assert isinstance(outcome(parse_graph6, word), tuple)
+        assert outcome(parse_graph6, word) == outcome(graph6_decode, word)

@@ -23,7 +23,7 @@ def test_scan_cubic10_finds_certified_petersen(monkeypatch, capsys):
         "graphs scanned: 132930",
         "minimum lambda_2: 1.000000000000",
         "winner girth: 5",
-        "winner graph6: IsHAOwQHG",
+        "winner graph6: IsP@PGXD_",
         "winner verdict: certified",
     ):
         assert want in lines
@@ -42,6 +42,6 @@ def test_snapshot_outputs_raise_nothing(monkeypatch, capsys, tmp_path):
         runpy.run_path(str(SNAPSHOT), run_name="__main__")
     assert exit_info.value.code == 0
     outputs = sorted(tmp_path.glob("*.txt"))
-    assert len(outputs) == 122
+    assert len(outputs) == 131
     raised = [p.name for p in outputs if p.read_text().startswith("exit: raised")]
     assert raised == []

@@ -14,10 +14,11 @@ one per checkout, shows every input whose reports changed:
 Covered: `generate` on the catalog families; `certify` (JSON and --text)
 and `analyze` (JSON and text) on those families and a few extra graphs;
 `table2` (JSON and text); `bound` (JSON, and text for each --method) on the
-Petersen and Hoffman-Singleton eigenvalue sets, exact and float; and edge
+Petersen and Hoffman-Singleton eigenvalue sets, a set with mixed
+denominators and a d = 8 set on denominator 1009, exact and float; and edge
 cases: a missing file, five malformed graph6 words, --degree 0, a zero
-denominator, a non-finite eigenvalue, float data past float64's range and a
-clustered float set.
+denominator, a non-finite eigenvalue, float data past float64's range, exact
+results past it and a clustered float set.
 """
 
 import contextlib
@@ -48,6 +49,16 @@ BOUNDS = {
     "petersen-float": ("3", "1.0,-2.0"),
     "hoffman_singleton-exact": ("7", "2,-3"),
     "hoffman_singleton-float": ("7", "2.0,-3.0"),
+    # mixed denominators 3, 5 and 7
+    "mixed_denominators-exact": ("3", "1/3,-7/5,2/7"),
+    "mixed_denominators-float": ("3", "0.3333333333333333,-1.4,0.2857142857142857"),
+    # zeros of the ball polynomial B_8 at k = 4, rounded to multiples of 1/1009
+    "ball8_1009-exact": ("4", "3267/1009,2611/1009,1617/1009,418/1009,-826/1009,-1950/1009,-2814/1009,-3331/1009"),
+    "ball8_1009-float": (
+        "4",
+        "3.2378592666005948,2.587710604558969,1.6025768087215064,0.41427155599603566,"
+        "-0.8186323092170465,-1.9326065411298314,-2.7888999008919724,-3.3012884043607533",
+    ),
 }
 
 MISSING_FILE = "no-such-dir/missing.g6"
@@ -60,6 +71,8 @@ EDGE_CASES = {
     "bound-minus-inf": ["bound", "--k", "3", "--eigenvalues=-inf,1"],
     # sphere values past float64's range: S_3(-1e200), and S_64(10**6) at k
     "bound-float-overflow-eigenvalue": ["bound", "--k", "3", "--eigenvalues=-1e200,1", "--degree", "3"],
+    # exact data whose certificate coefficients (about 1e399) cannot print as floats
+    "bound-exact-overflow": ["bound", "--k", "3", "--eigenvalues=-1" + "0" * 200 + "/3,1"],
     "bound-float-overflow-degree": [
         "bound", "--k", "1000000", "--eigenvalues=0.5", "--degree", "64", "--method", "lp",
     ],

@@ -134,33 +134,43 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bound(ns: argparse.Namespace) -> int:
-    eigenvalues = _parse_eigenvalues(ns.eigenvalues)
+def _bound_report(ns: argparse.Namespace, eigenvalues: tuple, cert, sol) -> dict:
     out: dict = {"k": ns.k, "eigenvalues": [float(t) for t in eigenvalues], "method": ns.method}
-    invalid = False
-    if ns.method in ("certificate", "both"):
-        cert = certificate_from_spectrum(ns.k, eigenvalues)
+    if cert is not None:
         out["certificate"] = {
             "bound": None if cert.bound is None else float(cert.bound),
             "f_coeffs": [float(c) for c in cert.poly.coeffs],
             "conditions": cert.conditions.to_json_dict(),
         }
-        invalid = cert.bound is None
-    if ns.method in ("lp", "both"):
-        sol = lp_bound_dual(ns.k, eigenvalues, ns.degree)
+    if sol is not None:
         out["lp"] = {
             "status": sol.status,
             "bound": None if sol.objective is None else float(sol.objective),
             "f_coeffs": [float(x) for x in sol.variables],
         }
+    return out
+
+
+def cmd_bound(ns: argparse.Namespace) -> int:
+    eigenvalues = _parse_eigenvalues(ns.eigenvalues)
+    cert = sol = None
+    if ns.method in ("certificate", "both"):
+        cert = certificate_from_spectrum(ns.k, eigenvalues)
+    if ns.method in ("lp", "both"):
+        sol = lp_bound_dual(ns.k, eigenvalues, ns.degree)
+    try:
+        out = _bound_report(ns, eigenvalues, cert, sol)
+    except OverflowError:
+        # exact eigenvalues, coefficients, slacks or bounds print as floats
+        raise ValueError("an exact result exceeds float64's range and cannot be printed") from None
     if ns.json:
         print(json.dumps(out, indent=2, allow_nan=False))
     else:
         if "certificate" in out:
-            cert = out["certificate"]
-            print(f"certificate bound: {cert['bound'] if cert['bound'] is not None else 'invalid'}")
-            print(f"certificate coefficients: {cert['f_coeffs']}")
-            for name, rep in cert["conditions"].items():
+            shown = out["certificate"]
+            print(f"certificate bound: {shown['bound'] if shown['bound'] is not None else 'invalid'}")
+            print(f"certificate coefficients: {shown['f_coeffs']}")
+            for name, rep in shown["conditions"].items():
                 state = "ok" if rep["ok"] else "VIOLATED"
                 print(f"  {name}: {state} (slack {rep['slack']:.6g})")
         if "lp" in out:
@@ -169,7 +179,7 @@ def cmd_bound(ns: argparse.Namespace) -> int:
                 print(f"lp bound (degree <= {ns.degree or 'default'}): {lp['bound']:.9g}")
             else:
                 print(f"lp: {lp['status']} (no finite bound at this degree)")
-    if ns.method == "certificate" and invalid:
+    if ns.method == "certificate" and cert.bound is None:
         return EXIT_INVALID_CERT
     return EXIT_OK
 

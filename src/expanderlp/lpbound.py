@@ -16,6 +16,14 @@ Espinoza (2007): B x_B = b and B^T y = c_B are solved by Bareiss's
 fraction-free elimination, and x_B >= 0 and every reduced cost >= 0 are
 checked on integers.  When that proof fails the Fraction simplex solves the
 LP from the start, so every exact verdict rests on exact arithmetic.
+
+Exact data run on Python ints, with one Fraction per reported value.  At
+tau = a/q the sphere values come from the homogenised recurrence as the
+integers N_j = q**j * S_j(a/q).  The certificate's factors (q*x - a_i) are
+multiplied in the sphere basis on ints and divided by q**deg once.  The
+proof scales each column of [A | b] by the lcm of its denominators, so
+column j of the dual LP carries q**j, where clearing whole rows would
+carry q**u in every entry.
 """
 
 from __future__ import annotations
@@ -29,7 +37,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphcore import Graph, is_connected, regularity
-from .orthopoly import MAX_DEGREE, MonomialPoly, SphereBasisPoly, sphere_sequence, to_sphere_basis
+from .orthopoly import (
+    MAX_DEGREE,
+    MonomialPoly,
+    SphereBasisPoly,
+    _is_rational,
+    sphere_basis_from_roots,
+    sphere_sequence,
+    to_sphere_basis,
+)
 from .spectral import Spectrum, spectrum, sphere_poly_matrices
 
 __all__ = [
@@ -51,16 +67,18 @@ DEFAULT_SLACK_TOL = 1e-9
 ATTAINMENT_TOL = 1e-6
 
 
-def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
 def _validate_eigenvalues(k: int, eigenvalues: Sequence) -> tuple:
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValueError(f"degree k must be an integer >= 2, got {k!r}")
     taus = tuple(eigenvalues)
     if not taus:
         raise ValueError("eigenvalue list must be nonempty")
+    if not all(_is_rational(t) for t in taus):
+        # one float makes the data float: every value goes to float64 up front
+        try:
+            taus = tuple(float(t) for t in taus)
+        except OverflowError:
+            raise ValueError("prescribed eigenvalues exceed float64's range") from None
     if len(set(taus)) != len(taus):
         raise ValueError("prescribed eigenvalues must be distinct")
     for t in taus:
@@ -172,13 +190,22 @@ def certificate_from_spectrum(k: int, eigenvalues: Sequence) -> BoundCertificate
 
     For a graph with d+1 distinct eigenvalues and girth >= 2d this certificate
     is valid and attains the optimal bound.  Rational inputs are processed
-    exactly.
+    exactly: with t_i = a_i/q over a common denominator q, the factors
+    (q*x - a_i) are multiplied in the sphere basis on ints and the product is
+    divided by q**deg once; int inputs give int coefficients.  Float inputs
+    are expanded in monomials and converted to the sphere basis.
     """
     taus = _validate_eigenvalues(k, eigenvalues)
     roots = [taus[0]] + [t for t in taus[1:] for _ in range(2)]
     if len(roots) > MAX_DEGREE:
         raise ValueError(f"certificate degree {len(roots)} exceeds maximum {MAX_DEGREE}")
-    poly = to_sphere_basis(k, MonomialPoly.from_roots(roots))
+    if not all(_is_rational(t) for t in taus):
+        poly = to_sphere_basis(k, MonomialPoly.from_roots(roots))
+    else:
+        q = math.lcm(*(t.denominator for t in taus))
+        poly = sphere_basis_from_roots(k, [t.numerator * (q // t.denominator) for t in roots], q)
+        if not all(isinstance(t, int) for t in taus):
+            poly = SphereBasisPoly(k, tuple(Fraction(c, q**poly.degree) for c in poly.coeffs))
     return check_certificate(k, taus, poly)
 
 
@@ -368,26 +395,31 @@ def _bareiss_solve(M: list, rhs: list) -> Optional[tuple[list, int]]:
 def _proven_optimal(A: list, b: list, cost: list, basis: list) -> Optional[list]:
     """Basic values if basis is provably optimal for min cost.z, A z = b, z >= 0.
 
-    On the rows of [A | b] scaled to integers, with B the basis columns:
-    x_B = B^-1 b must be >= 0 (primal feasible), and with B^T y = c_B every
-    reduced cost c_j - y.A_j must be >= 0 (dual feasible).  Both hold
-    exactly or the answer is None, as it is for a singular B.
+    Each column of [A | b] is scaled by the lcm of its denominators, and
+    each cost by the same factor, which puts the system on integers with no
+    sign change; with B the basis columns, x_B = B^-1 b must be >= 0
+    (primal feasible), and with B^T y = c_B every reduced cost c_j - y.A_j
+    must be >= 0 (dual feasible).  Both hold exactly or the answer is None,
+    as it is for a singular B.  The values map back through the scales.
     """
-    rows = [_integer_row(row + [rhs]) for row, rhs in zip(A, b)]
-    B = [[row[j] for j in basis] for row in rows]
-    primal = _bareiss_solve(B, [row[-1] for row in rows])
+    columns = [*zip(*A), b]
+    scales = [math.lcm(*(a.denominator for a in col)) for col in columns]
+    cols = [[a.numerator * (s // a.denominator) for a in col] for col, s in zip(columns, scales)]
+    scaled_cost = _integer_row([c * s for c, s in zip(cost, scales)])
+    B_T = [cols[j] for j in basis]
+    primal = _bareiss_solve([list(row) for row in zip(*B_T)], cols[-1])
     if primal is None:
         return None
     X, D = primal
     if any(x * D < 0 for x in X):
         return None
-    Y, E = _bareiss_solve([list(col) for col in zip(*B)], [cost[j] for j in basis])
+    Y, E = _bareiss_solve(B_T, [scaled_cost[j] for j in basis])
     basic = set(basis)
-    for j, cj in enumerate(cost):
+    for j, cj in enumerate(scaled_cost):
         # E * (c_j - y.A_j), whose sign times the sign of E is the reduced cost's
-        if j not in basic and (cj * E - sum(y * row[j] for y, row in zip(Y, rows))) * E < 0:
+        if j not in basic and (cj * E - sum(y * a for y, a in zip(Y, cols[j]))) * E < 0:
             return None
-    return [Fraction(x, D) for x in X]
+    return [Fraction(scales[j] * x, D * scales[-1]) for j, x in zip(basis, X)]
 
 
 def _verified_float_solve(A: list, b: list, cost: list, unit: list) -> Optional[tuple[str, list, list]]:
@@ -438,6 +470,15 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
     return "optimal", x, objective
 
 
+def _exact_sphere_values(k: int, t, u: int) -> list:
+    """S_1(t)..S_u(t) for an int or Fraction t, one Fraction (or int) per value."""
+    q = t.denominator
+    nums = list(sphere_sequence(k, t.numerator, u, q=q))[1:]
+    if q == 1:
+        return nums
+    return [Fraction(n, q**j) for j, n in enumerate(nums, start=1)]
+
+
 def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: int) -> tuple:
     """What both LPs share: u (default 2d - 1), whether the data are exact,
     and S_1(tau)..S_u(tau) for each prescribed eigenvalue tau, largest first.
@@ -454,7 +495,10 @@ def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: 
     exact = all(_is_rational(t) for t in taus)
     if not exact and list(sphere_sequence(k, k, u))[-1] > sys.float_info.max:
         raise ValueError(f"S_{u}({k}) exceeds float64's range")
-    values = [list(sphere_sequence(k, t if exact else float(t), u))[1:] for t in taus]
+    if exact:
+        values = [_exact_sphere_values(k, t, u) for t in taus]
+    else:
+        values = [list(sphere_sequence(k, float(t), u))[1:] for t in taus]
     if not exact and not all(math.isfinite(v) for vals in values for v in vals):
         raise ValueError(f"sphere values up to degree {u} at the eigenvalues exceed float64's range")
     return u, exact, values

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "ball_poly",
     "sphere_poly_monomial",
     "to_sphere_basis",
+    "sphere_basis_from_roots",
     "linearize_product",
     "tree_weight",
     "weight_quadrature",
@@ -45,6 +47,10 @@ __all__ = [
 # Coefficient growth is ~ k*(k-1)**i, so degrees beyond this are not useful
 # for graphs within the size caps and are rejected outright.
 MAX_DEGREE = 64
+
+
+def _is_rational(x) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _check_k(k: int) -> None:
@@ -59,13 +65,18 @@ def _check_index(i: int) -> None:
         raise ValueError(f"degree {i} exceeds supported maximum {MAX_DEGREE}")
 
 
-def sphere_sequence(k: int, x, upto: int, one=None, mul=operator.mul):
+def sphere_sequence(k: int, x, upto: int, one=None, mul=operator.mul, q: int = 1):
     """Yield S_0(x), S_1(x), ..., S_upto(x), each from the two before it.
 
     x may be an int, Fraction, float or numpy array (evaluated entrywise);
     one defaults to the matching unit.  With an identity as one and a
     product as mul, x may be any ring element, e.g. a matrix under np.dot.
     Values are produced lazily, so a caller may stop early.
+
+    With q != 1 the values are homogenised: the j-th is q**j * S_j(x/q),
+    from N_j = x*N_{j-1} - (k-1)*q**2*N_{j-2} (k*q**2 at j = 2).  For
+    integers x and q these are integers, so S_j(a/q) = N_j / q**j exactly
+    without any Fraction arithmetic.
     """
     if one is None:
         one = np.ones_like(x) if isinstance(x, np.ndarray) else 1
@@ -73,8 +84,9 @@ def sphere_sequence(k: int, x, upto: int, one=None, mul=operator.mul):
     if upto >= 1:
         yield x
     prev, cur = one, x
+    first, rest = k * q * q, (k - 1) * q * q
     for m in range(2, upto + 1):
-        prev, cur = cur, mul(x, cur) - (k if m == 2 else k - 1) * prev
+        prev, cur = cur, mul(x, cur) - (first if m == 2 else rest) * prev
         yield cur
 
 
@@ -189,8 +201,23 @@ class SphereBasisPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        terms = map(operator.mul, self.coeffs, sphere_sequence(self.k, x, self.degree))
-        return reduce(operator.add, terms)
+        """Value at x; exact at an int or Fraction x when every coefficient is one.
+
+        The exact value is sum_i c_i*N_i*q**(deg-i) / (D*q**deg), with x = a/q,
+        N_i = q**i * S_i(a/q) from the homogenised recurrence and D the
+        common denominator of the c_i: integer products and one division.
+        It is an int when x and every coefficient are ints.
+        """
+        cs, deg = self.coeffs, self.degree
+        if not (_is_rational(x) and all(_is_rational(c) for c in cs)):
+            return reduce(operator.add, map(operator.mul, cs, sphere_sequence(self.k, x, deg)))
+        q, den = x.denominator, math.lcm(*(c.denominator for c in cs))
+        total = 0
+        for c, n in zip(cs, sphere_sequence(self.k, x.numerator, deg, q=q)):
+            total = total * q + c.numerator * (den // c.denominator) * n
+        if isinstance(x, int) and all(isinstance(c, int) for c in cs):
+            return total
+        return Fraction(total, den * q**deg)
 
     def to_monomial(self) -> MonomialPoly:
         terms = map(operator.mul, self.coeffs, _monomial_table(self.k, self.degree))
@@ -217,6 +244,29 @@ def to_sphere_basis(k: int, poly: MonomialPoly) -> SphereBasisPoly:
             for j, a in enumerate(table[deg].coeffs):
                 work[j] = work[j] - lead * a
     return SphereBasisPoly(k, tuple(out))
+
+
+def sphere_basis_from_roots(k: int, roots, q: int = 1) -> SphereBasisPoly:
+    """prod (q*x - a) over the ints a in roots, with int coefficients over {S_0, S_1, ...}.
+
+    Each factor is multiplied in the sphere basis directly, through
+    x*S_0 = S_1, x*S_1 = S_2 + k*S_0 and x*S_i = S_{i+1} + (k-1)*S_{i-1}
+    for i >= 2, so no monomial is formed.  Dividing by q**len(roots) gives
+    prod (x - a/q).
+    """
+    _check_k(k)
+    qk, qk1 = q * k, q * (k - 1)
+    p = [1]
+    for a in roots:
+        out = [0] + [q * c for c in p]
+        for j, c in enumerate(p):
+            out[j] -= a * c
+        if len(p) > 1:
+            out[0] += qk * p[1]
+        for j in range(1, len(p) - 1):
+            out[j] += qk1 * p[j + 1]
+        p = out
+    return SphereBasisPoly(k, tuple(p))
 
 
 def linearize_product(k: int, i: int, j: int) -> tuple:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expanderlp import cli
 from expanderlp.cli import main
@@ -177,6 +181,25 @@ class TestBound:
         assert out == ""
         assert err.startswith("error: ") and "float64's range" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # certificate coefficients, f(k) and the bound near 1e399
+            ["--eigenvalues=-1" + "0" * 200 + "/3,1"],
+            ["--eigenvalues=-1" + "0" * 200 + "/3,1", "--method", "certificate", "--json"],
+            # f_1 = 10**400 is the least f_1 with -f_1 * S_1(-1/10**400) >= 1
+            ["--eigenvalues=-1/1" + "0" * 400, "--degree", "1", "--method", "lp"],
+            # the eigenvalue itself
+            ["--eigenvalues=-1" + "0" * 400 + ",1", "--method", "lp", "--json"],
+        ],
+        ids=["certificate-both", "certificate", "lp-variable", "eigenvalue"],
+    )
+    def test_exact_result_past_float_range_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, "bound", "--k", "3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: an exact result exceeds float64's range and cannot be printed\n"
+
     def test_clustered_floats_optimal(self, capsys):
         # the float tableau alone calls this dual LP unbounded
         eigenvalues = "-0.0999999999218,-0.1000000000814,-0.099999971,-0.099825"
@@ -195,6 +218,47 @@ class TestBound:
         doc = json.loads(out)
         # with only f_1 available the data admits no certificate
         assert doc["lp"]["status"] == "infeasible"
+
+
+BIG = 10**250 - 1
+# eigenvalue tokens: ints, a/b with parts of up to 250 digits, floats, then
+# non-finite values and junk
+NUMBERS = st.one_of(
+    st.integers(-12, 10).map(str),
+    st.integers(-BIG, 10).map(str),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-50, 50), st.integers(1, 60)),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-BIG, BIG), st.integers(0, BIG)),
+    st.floats(-12, 10).map(repr),
+    st.floats(allow_nan=False).map(repr),
+)
+JUNK = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "", " ", "1/0", "1_0", "0x1", "-", "/", "1/2/3", "2.5/3"]),
+    st.text(max_size=5),
+)
+TOKEN_LISTS = st.one_of(
+    st.lists(NUMBERS, min_size=1, max_size=4, unique=True),
+    st.lists(st.one_of(NUMBERS, JUNK), min_size=1, max_size=4),
+)
+
+
+class TestBoundContract:
+    # any token list under any --method: a verdict or a clean error, never an exception
+    @pytest.mark.parametrize("method", ["certificate", "lp", "both"])
+    @given(k=st.integers(2, 8), tokens=TOKEN_LISTS, as_json=st.booleans())
+    @example(k=3, tokens=["-1" + "0" * 200 + "/3", "1"], as_json=False)
+    @example(k=3, tokens=["-1" + "0" * 250, "-2" + "0" * 250, "-1e300"], as_json=True)
+    @settings(max_examples=40, deadline=5000)
+    def test_exit_code_never_raises(self, method, k, tokens, as_json):
+        argv = ["bound", "--k", str(k), f"--eigenvalues={','.join(tokens)}", "--method", method]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--json"] * as_json)
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 1, 4)
+        if code == 1:
+            assert out == "" and err.startswith("error: ")
+        elif as_json:
+            json.loads(out)
 
 
 class TestCertify:

@@ -1,3 +1,4 @@
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from expanderlp import lpbound
+from expanderlp import lpbound, orthopoly
 from expanderlp import (
     MonomialPoly,
     SphereBasisPoly,
@@ -144,6 +145,16 @@ class TestPrimalLP:
             assert sol.objective == pytest.approx(expect, abs=1e-6)
 
 
+@st.composite
+def exact_eigenvalue_sets(draw):
+    """(k, eigenvalues): up to 16 ints below k, or ints and fractions of mixed denominators."""
+    k = draw(st.integers(2, 7))
+    ints = st.integers(-3 * k, k - 1)
+    fractions = st.fractions(-3 * k, k - 1, max_denominator=60)
+    element = draw(st.sampled_from([ints, st.one_of(ints, fractions)]))
+    return k, tuple(draw(st.sets(element, min_size=1, max_size=16)))
+
+
 class TestCheckCertificate:
     def test_petersen_certificate(self):
         poly = to_sphere_basis(3, MonomialPoly.from_roots((1, -2, -2)))
@@ -266,6 +277,56 @@ class TestCertificateFromSpectrum:
         assert cert.bound is None
         assert not cert.conditions.constant_term_positive.ok
 
+    @given(exact_eigenvalue_sets())
+    @example((3, (Fraction(1, 3), Fraction(-7, 5), Fraction(2, 7))))
+    @settings(max_examples=60, deadline=None)
+    def test_sphere_basis_product_matches_monomial_route(self, data):
+        # the exact certificate, multiplied in the sphere basis on ints, is the
+        # monomial expansion converted to the sphere basis, with the same
+        # values at k and at every tau and the same checked conditions
+        k, taus = data
+        cert = certificate_from_spectrum(k, taus)
+        ordered = sorted(taus, reverse=True)
+        roots = [ordered[0]] + [t for t in ordered[1:] for _ in range(2)]
+        expected = to_sphere_basis(k, MonomialPoly.from_roots(roots))
+        assert cert.poly.coeffs == expected.coeffs
+        horner = expected.to_monomial()
+        assert cert.value_at_k == horner(Fraction(k)) == math.prod(k - r for r in roots)
+        for t in taus:
+            assert cert.poly(t) == horner(Fraction(t)) == 0
+        assert cert == check_certificate(k, taus, expected)
+        if all(isinstance(t, int) for t in taus):
+            assert all(type(c) is int for c in cert.poly.coeffs)
+            assert type(cert.value_at_k) is int
+        else:
+            assert all(isinstance(c, (int, Fraction)) for c in cert.poly.coeffs)
+
+    def test_exact_path_forms_no_monomials(self, monkeypatch):
+        def monomial_route(*args):
+            raise AssertionError("monomial route taken")
+
+        monkeypatch.setattr(lpbound, "to_sphere_basis", monomial_route)
+        monkeypatch.setattr(orthopoly, "to_sphere_basis", monomial_route)
+        monkeypatch.setattr(MonomialPoly, "from_roots", staticmethod(monomial_route))
+        assert certificate_from_spectrum(3, (1, -2)).bound == 10
+        mixed = certificate_from_spectrum(3, (Fraction(1, 3), Fraction(-7, 5), Fraction(2, 7)))
+        assert mixed.conditions.all_ok()
+        # float data keep the monomial route
+        with pytest.raises(AssertionError, match="monomial route"):
+            certificate_from_spectrum(3, (1.0, -2.0))
+
+    def test_mixed_data_run_in_float(self):
+        # one float token makes every eigenvalue a float before any arithmetic:
+        # the ints 10**250 and 2*10**250 no longer meet float coefficients as ints
+        huge = (-(10**250), -2 * 10**250, -1e300)
+        with pytest.raises(ValueError, match="float64's range"):
+            certificate_from_spectrum(3, huge)
+        with pytest.raises(ValueError, match="float64's range"):
+            certificate_from_spectrum(3, (-(10**400), 0.5))
+        cert = certificate_from_spectrum(3, (1, -2.0))
+        assert cert.eigenvalues == (1.0, -2.0)
+        assert cert.bound == pytest.approx(10.0)
+
 
 class TestAttainment:
     def test_petersen_tight(self):
@@ -384,6 +445,14 @@ CLUSTERED = (
 )
 
 
+# rationals with mixed denominators, and a d = 8 set on the prime 1009
+MIXED_DENOMINATORS = (
+    (3, (Fraction(1, 3), Fraction(-7, 5), Fraction(2, 7))),
+    (4, rounded_ball_zeros(4, 8)),
+    (5, (Fraction(3, 2), Fraction(-1, 7), Fraction(-22, 9), -4)),
+)
+
+
 @st.composite
 def rational_lp_data(draw):
     """(k, eigenvalues, u): d <= 6 rationals spread over [-k, k) or clustered, 1 <= u <= 2d + 1."""
@@ -441,6 +510,57 @@ class TestVerifiedBasis:
                 assert sol == expected
         assert 0 < accepted < len(handed)
 
+    @pytest.mark.parametrize("fn", [lp_bound_dual, lp_bound_primal])
+    @pytest.mark.parametrize("k, taus", MIXED_DENOMINATORS, ids=["3-5-7", "B_8-1009", "2-7-9-int"])
+    def test_column_scaled_proof_accepted(self, fn, k, taus):
+        # column j of the dual carries denominators q**j, column i of the
+        # primal those of tau_i: the scaled proof accepts the float basis
+        # and gives the cold simplex's exact optimum
+        with float_pass() as runs:
+            sol = fn(k, taus)
+        assert runs == [False]
+        assert sol == cold(fn, k, taus)
+
+    @pytest.mark.parametrize("fn", [lp_bound_dual, lp_bound_primal])
+    @pytest.mark.parametrize(
+        "k, taus, u",
+        [(3, MIXED_DENOMINATORS[0][1], 3), (5, MIXED_DENOMINATORS[2][1], 4), (4, (Fraction(5, 2), Fraction(-1, 3), -3), 5)],
+    )
+    def test_proof_against_oracle(self, fn, k, taus, u):
+        # every square basis of the standard form, proven or rejected: a
+        # proof gives the basic solution that Gauss-Jordan over Fraction
+        # gives, feasible and of least cost among the basic feasible
+        # solutions; a feasible basis of higher cost is always rejected
+        forms = []
+        verified = lpbound._verified_float_solve
+
+        def spy(A, b, cost, unit):
+            forms.append((A, b, cost))
+            return verified(A, b, cost, unit)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpbound, "_verified_float_solve", spy)
+            fn(k, taus, u)
+        [(A, b, cost)] = forms
+        vertices = {}
+        for basis in combinations(range(len(cost)), len(A)):
+            xb = solve_gauss_jordan([[row[j] for j in basis] for row in A], b)
+            if xb is not None and all(x >= 0 for x in xb):
+                vertices[basis] = (xb, sum(cost[j] * x for j, x in zip(basis, xb)))
+        least = min(value for _, value in vertices.values())
+        proven = tampered = 0
+        for basis in combinations(range(len(cost)), len(A)):
+            values = lpbound._proven_optimal(A, b, cost, list(basis))
+            if basis not in vertices:
+                assert values is None
+            elif vertices[basis][1] > least:
+                tampered += 1
+                assert values is None
+            elif values is not None:
+                proven += 1
+                assert values == vertices[basis][0]
+        assert proven > 0 and tampered > 0
+
     def test_feasible_but_not_optimal_basis(self):
         # the slack basis x = 0 is feasible for the primal LP and has
         # objective 1; the exact reduced costs reject it
@@ -483,6 +603,34 @@ class TestVerifiedBasis:
             sol = lp_bound_dual(10**6, (-(10**6) + 1,), 64)
         assert runs == [True]
         assert sol.status == "optimal"
+
+
+class TestColumnScaledProof:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.fractions(-5, 5, max_denominator=12), min_size=3, max_size=3),
+                st.lists(
+                    st.tuples(
+                        st.lists(st.fractions(-5, 5, max_denominator=12), min_size=3, max_size=3),
+                        st.sampled_from(["<=", ">=", "=="]),
+                        st.fractions(-5, 5, max_denominator=12),
+                    ),
+                    min_size=m,
+                    max_size=m,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_proves_the_cold_optimum(self, lp):
+        # any LP with fractions in A, b and the cost: the cold tableau's
+        # optimal basis is proven, with the cold tableau's values
+        c, rows = lp
+        A, b, cost, unit = lpbound._standard_form(c, rows, Fraction)
+        status, basis, values = lpbound._bland(A, b, cost, unit, exact=True)
+        assume(status == "optimal" and len(basis) == len(A))
+        assert lpbound._proven_optimal(A, b, cost, basis) == values
 
 
 class TestFloatVerdicts:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from expanderlp import (
     MonomialPoly,
+    SphereBasisPoly,
     ball_poly,
     linearize_product,
     sphere_poly,
@@ -17,6 +18,7 @@ from expanderlp import (
     tree_weight,
     weight_quadrature,
 )
+from expanderlp.orthopoly import sphere_basis_from_roots
 from oracles import divide_by_linear, eval_poly, mul_poly
 
 
@@ -76,6 +78,14 @@ class TestSpherePoly:
         values = list(sphere_sequence(k, x, i))
         assert len(values) == i + 1
         assert values[i] == sphere_poly_monomial(k, i)(x)
+
+    @given(st.integers(2, 8), st.integers(-(10**6), 10**6), st.integers(1, 10**6), st.integers(0, 20))
+    @settings(max_examples=80, deadline=None)
+    def test_homogenised_matches_fraction_recurrence(self, k, a, q, u):
+        # N_j = q**j * S_j(a/q), in ints, from the same recurrence
+        homogenised = list(sphere_sequence(k, a, u, q=q))
+        assert all(type(n) is int for n in homogenised)
+        assert homogenised == [q**j * s for j, s in enumerate(sphere_sequence(k, Fraction(a, q), u))]
 
 
 class TestBallPoly:
@@ -165,6 +175,47 @@ class TestSphereBasis:
         p = MonomialPoly(tuple(coeffs))
         back = to_sphere_basis(k, p).to_monomial()
         assert back.coeffs == p.coeffs
+
+    @given(
+        st.integers(2, 7),
+        st.lists(st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=60)), min_size=1, max_size=17),
+        st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=1009)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_evaluation(self, k, coeffs, x):
+        # cleared to integers and divided once: the value of the Fraction
+        # Horner scheme, an int exactly when x and every coefficient are
+        poly = SphereBasisPoly(k, tuple(coeffs))
+        value = poly(x)
+        assert value == poly.to_monomial()(Fraction(x))
+        all_int = isinstance(x, int) and all(isinstance(c, int) for c in coeffs)
+        assert type(value) is (int if all_int else Fraction)
+
+    def test_float_and_array_evaluation(self):
+        # a float or array point keeps the plain recurrence
+        poly = SphereBasisPoly(3, (5, 5, 3, 1))
+        assert poly(1.0) == 0.0 and type(poly(1.0)) is float
+        np.testing.assert_allclose(poly(np.array([1.0, -2.0, 3.0])), [0.0, 0.0, 50.0])
+
+    @given(
+        st.integers(2, 7),
+        st.lists(st.integers(-60, 60), min_size=0, max_size=20),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_monomial_route(self, k, nums, q):
+        # prod (q*x - a) multiplied in the sphere basis, over q**deg, equals
+        # prod (x - a/q) expanded in monomials and converted
+        scaled = sphere_basis_from_roots(k, nums, q)
+        assert all(type(c) is int for c in scaled.coeffs)
+        expected = to_sphere_basis(k, MonomialPoly.from_roots([Fraction(a, q) for a in nums]))
+        assert [Fraction(c, q ** len(nums)) for c in scaled.coeffs] == list(expected.coeffs)
+
+    def test_product_petersen(self):
+        # (x - 1)(x + 2)^2 = S_3 + 3 S_2 + 5 S_1 + 5 S_0 for k = 3
+        assert sphere_basis_from_roots(3, (1, -2, -2)).coeffs == (5, 5, 3, 1)
+        # the same roots as halves: (2x - 2)(2x + 4)^2 = 8 (x - 1)(x + 2)^2
+        assert sphere_basis_from_roots(3, (2, -4, -4), 2).coeffs == (40, 40, 24, 8)
 
     def test_no_global_cache(self):
         assert not hasattr(sphere_poly_monomial, "cache_info")

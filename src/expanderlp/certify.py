@@ -1,9 +1,10 @@
 """End-to-end certification of regular graphs as order-extremal for their spectrum.
 
 A connected k-regular graph with d+1 distinct adjacency eigenvalues and girth
-at least 2d attains the least possible number of vertices among connected
-k-regular graphs whose nontrivial eigenvalues lie in its own eigenvalue set;
-equivalently, no smaller spectral gap is possible at its order and degree.
+at least 2d has the most vertices that any connected k-regular graph whose
+nontrivial eigenvalues lie in its own eigenvalue set can have.  By the
+paper's application, it has the least second eigenvalue, that is the largest
+spectral gap, among k-regular graphs of its order.
 The certifier reconstructs the certificate from the measured spectrum, checks
 its conditions and tightness, and cross-checks classical counting bounds and
 distance-regularity.
@@ -62,7 +63,7 @@ def tutte_bound(k: int, e: int) -> int:
     """Fewest vertices a k-regular graph of girth 2e+1 can have."""
     if k < 2 or e < 1:
         raise ValueError("tutte_bound requires k >= 2 and e >= 1")
-    return 1 + k * sum((k - 1) ** j for j in range(e))
+    return moore_bound(k, e)
 
 
 def moore_polygon_array(k: int, d: int, c: int) -> IntersectionArray:

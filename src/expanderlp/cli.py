@@ -267,8 +267,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = _build_parser().parse_args(argv)
+    ns = PARSER.parse_args(argv)
     try:
         return ns.run(ns)
     except Graph6Error as exc:

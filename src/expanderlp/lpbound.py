@@ -20,10 +20,11 @@ LP from the start, so every exact verdict rests on exact arithmetic.
 Exact data run on Python ints, with one Fraction per reported value.  At
 tau = a/q the sphere values come from the homogenised recurrence as the
 integers N_j = q**j * S_j(a/q).  The certificate's factors (q*x - a_i) are
-multiplied in the sphere basis on ints and divided by q**deg once.  The
-proof scales each column of [A | b] by the lcm of its denominators, so
-column j of the dual LP carries q**j, where clearing whole rows would
-carry q**u in every entry.
+multiplied in the sphere basis on ints and divided by q**deg once; float
+data take the same route on the binary fractions they store.  The proof
+scales each column of [A | b] by the lcm of its denominators, so column j of
+the dual LP carries q**j, where clearing whole rows would carry q**u in
+every entry.
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ import numpy as np
 from .graphcore import Graph, is_connected, regularity
 from .orthopoly import (
     MAX_DEGREE,
-    MonomialPoly,
     SphereBasisPoly,
     _is_rational,
     sphere_basis_from_roots,
     sphere_sequence,
-    to_sphere_basis,
 )
 from .spectral import Spectrum, spectrum, sphere_poly_matrices
 
@@ -65,6 +64,7 @@ __all__ = [
 DEFAULT_SLACK_TOL = 1e-9
 # Float tolerance on the equality conditions of attainment and on bound == v.
 ATTAINMENT_TOL = 1e-6
+_PAST_FLOAT_RANGE = "certificate coefficients or values exceed float64's range"
 
 
 def _validate_eigenvalues(k: int, eigenvalues: Sequence) -> tuple:
@@ -158,7 +158,7 @@ def check_certificate(k: int, eigenvalues: Sequence, poly: SphereBasisPoly) -> B
     value_at_k = poly(k)
     values = [poly(t) for t in taus]
     if not all(_is_rational(x) or math.isfinite(x) for x in (value_at_k, *values, *poly.coeffs)):
-        raise ValueError("certificate coefficients or values exceed float64's range")
+        raise ValueError(_PAST_FLOAT_RANGE)
     cond1 = ConditionReport(value_at_k > 0, value_at_k)
     worst_val, worst_tau = None, None
     for t, val in zip(taus, values):
@@ -189,23 +189,26 @@ def certificate_from_spectrum(k: int, eigenvalues: Sequence) -> BoundCertificate
     """Certificate (x - t_1) * prod_{i>=2} (x - t_i)**2 for eigenvalues t_1 > t_2 > ...
 
     For a graph with d+1 distinct eigenvalues and girth >= 2d this certificate
-    is valid and attains the optimal bound.  Rational inputs are processed
-    exactly: with t_i = a_i/q over a common denominator q, the factors
-    (q*x - a_i) are multiplied in the sphere basis on ints and the product is
-    divided by q**deg once; int inputs give int coefficients.  Float inputs
-    are expanded in monomials and converted to the sphere basis.
+    is valid and attains the optimal bound.  Every t_i, a float64 included, is
+    a fraction a_i/q over a common denominator q; the factors (q*x - a_i) are
+    multiplied in the sphere basis on ints and divided by q**deg once.  Int
+    data keep int coefficients, Fraction data Fraction ones, and float data
+    are rounded to float64 once, at the end.
     """
     taus = _validate_eigenvalues(k, eigenvalues)
-    roots = [taus[0]] + [t for t in taus[1:] for _ in range(2)]
-    if len(roots) > MAX_DEGREE:
-        raise ValueError(f"certificate degree {len(roots)} exceeds maximum {MAX_DEGREE}")
-    if not all(_is_rational(t) for t in taus):
-        poly = to_sphere_basis(k, MonomialPoly.from_roots(roots))
-    else:
-        q = math.lcm(*(t.denominator for t in taus))
-        poly = sphere_basis_from_roots(k, [t.numerator * (q // t.denominator) for t in roots], q)
-        if not all(isinstance(t, int) for t in taus):
-            poly = SphereBasisPoly(k, tuple(Fraction(c, q**poly.degree) for c in poly.coeffs))
+    if 2 * len(taus) - 1 > MAX_DEGREE:
+        raise ValueError(f"certificate degree {2 * len(taus) - 1} exceeds maximum {MAX_DEGREE}")
+    q = math.lcm(*(Fraction(t).denominator for t in taus))
+    nums = [int(Fraction(t) * q) for t in taus]
+    poly = sphere_basis_from_roots(k, nums[:1] + [a for a in nums[1:] for _ in range(2)], q)
+    den = q**poly.degree
+    if not _is_rational(taus[0]):
+        try:
+            poly = SphereBasisPoly(k, tuple(c / den for c in poly.coeffs))
+        except OverflowError:
+            raise ValueError(_PAST_FLOAT_RANGE) from None
+    elif not all(isinstance(t, int) for t in taus):
+        poly = SphereBasisPoly(k, tuple(Fraction(c, den) for c in poly.coeffs))
     return check_certificate(k, taus, poly)
 
 

@@ -15,6 +15,10 @@ is the indicator of the distance-i sphere.  The family is orthogonal on
 Partial sums B_i = S_0 + ... + S_i (ball polynomials) satisfy
 (x - k)*B_i = S_{i+1} - (k-1)*S_i and are monic orthogonal for (k - x)*w(x).
 
+Products stay in the sphere basis by one rule for x*S_i: x*S_0 = S_1,
+x*S_1 = S_2 + k*S_0 and x*S_i = S_{i+1} + (k-1)*S_{i-1} for i >= 2.
+Certificates, the linearisation of S_i*S_j and the conversion from monomials
+(Horner's rule) all use it.
 All coefficient manipulation is exact when inputs are ints or Fractions;
 evaluation at floats (or numpy arrays) runs in double precision.
 """
@@ -36,7 +40,6 @@ __all__ = [
     "sphere_sequence",
     "sphere_poly",
     "ball_poly",
-    "sphere_poly_monomial",
     "to_sphere_basis",
     "sphere_basis_from_roots",
     "linearize_product",
@@ -141,12 +144,6 @@ class MonomialPoly:
                 out[i + j] += ai * bj
         return MonomialPoly(tuple(out))
 
-    def __rmul__(self, scalar) -> "MonomialPoly":
-        return MonomialPoly(tuple(scalar * a for a in self.coeffs))
-
-    def __sub__(self, other: "MonomialPoly") -> "MonomialPoly":
-        return self + -1 * other
-
     def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -162,18 +159,6 @@ class MonomialPoly:
         for r in roots:
             poly = poly * MonomialPoly((-r, 1))
         return poly
-
-
-def _monomial_table(k: int, n: int) -> list:
-    """S_0..S_n expanded in the monomial basis, in one pass of the recurrence."""
-    return list(sphere_sequence(k, MonomialPoly((0, 1)), n, one=MonomialPoly((1,))))
-
-
-def sphere_poly_monomial(k: int, i: int) -> MonomialPoly:
-    """S_i expanded in the monomial basis; coefficients are exact ints."""
-    _check_k(k)
-    _check_index(i)
-    return _monomial_table(k, i)[i]
 
 
 @dataclass(frozen=True)
@@ -219,53 +204,46 @@ class SphereBasisPoly:
             return total
         return Fraction(total, den * q**deg)
 
-    def to_monomial(self) -> MonomialPoly:
-        terms = map(operator.mul, self.coeffs, _monomial_table(self.k, self.degree))
-        return reduce(operator.add, terms)
+
+def _times_linear(k: int, p: list, a: int = 0, q: int = 1) -> list:
+    """(q*x - a)*p over {S_0, S_1, ...}, by the rule for x*S_i; ints stay ints."""
+    out = [0] + [q * c for c in p]
+    for j, c in enumerate(p):
+        out[j] -= a * c
+    if len(p) > 1:
+        out[0] += q * k * p[1]
+    qk1 = q * (k - 1)
+    for j in range(1, len(p) - 1):
+        out[j] += qk1 * p[j + 1]
+    return out
 
 
 def to_sphere_basis(k: int, poly: MonomialPoly) -> SphereBasisPoly:
     """Rewrite a monomial-basis polynomial over the basis {S_0, S_1, ...}.
 
-    Elimination runs from the leading term down; each S_i is monic, so the
-    conversion is exact for int/Fraction coefficients.
+    Horner's rule p <- x*p + c in the sphere basis, from the leading
+    coefficient down; exact for int/Fraction coefficients.
     """
     _check_k(k)
-    n = poly.degree
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
-    table = _monomial_table(k, n)
-    work = list(poly.coeffs)
-    out = [0] * (n + 1)
-    for deg in range(n, -1, -1):
-        lead = work[deg]
-        out[deg] = lead
-        if lead != 0:
-            for j, a in enumerate(table[deg].coeffs):
-                work[j] = work[j] - lead * a
-    return SphereBasisPoly(k, tuple(out))
+    if poly.degree > MAX_DEGREE:
+        raise ValueError(f"degree {poly.degree} exceeds supported maximum {MAX_DEGREE}")
+    p = [poly.coeffs[-1]]
+    for c in reversed(poly.coeffs[:-1]):
+        p = _times_linear(k, p)
+        p[0] += c
+    return SphereBasisPoly(k, tuple(p))
 
 
 def sphere_basis_from_roots(k: int, roots, q: int = 1) -> SphereBasisPoly:
     """prod (q*x - a) over the ints a in roots, with int coefficients over {S_0, S_1, ...}.
 
-    Each factor is multiplied in the sphere basis directly, through
-    x*S_0 = S_1, x*S_1 = S_2 + k*S_0 and x*S_i = S_{i+1} + (k-1)*S_{i-1}
-    for i >= 2, so no monomial is formed.  Dividing by q**len(roots) gives
-    prod (x - a/q).
+    One sphere-basis multiplication per factor; dividing by q**len(roots)
+    gives prod (x - a/q).
     """
     _check_k(k)
-    qk, qk1 = q * k, q * (k - 1)
     p = [1]
     for a in roots:
-        out = [0] + [q * c for c in p]
-        for j, c in enumerate(p):
-            out[j] -= a * c
-        if len(p) > 1:
-            out[0] += qk * p[1]
-        for j in range(1, len(p) - 1):
-            out[j] += qk1 * p[j + 1]
-        p = out
+        p = _times_linear(k, p, a, q)
     return SphereBasisPoly(k, tuple(p))
 
 
@@ -282,9 +260,15 @@ def linearize_product(k: int, i: int, j: int) -> tuple:
     _check_index(j)
     if i + j > MAX_DEGREE:
         raise ValueError(f"product degree {i + j} exceeds supported maximum {MAX_DEGREE}")
-    prod = sphere_poly_monomial(k, i) * sphere_poly_monomial(k, j)
-    coeffs = to_sphere_basis(k, prod).coeffs
-    return tuple(coeffs) + (0,) * (i + j + 1 - len(coeffs))
+    # S_m*S_j = x*(S_{m-1}*S_j) - c*S_{m-2}*S_j, with c = k at m = 2 and k-1 after
+    prev, cur = [], [0] * j + [1]
+    for m in range(1, i + 1):
+        nxt = _times_linear(k, cur)
+        c = k if m == 2 else k - 1
+        for l, v in enumerate(prev):
+            nxt[l] -= c * v
+        prev, cur = cur, nxt
+    return tuple(cur)
 
 
 def tree_weight(k: int, x: float) -> float:

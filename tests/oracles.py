@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from expanderlp import Graph, Graph6Error
+from expanderlp import Graph, Graph6Error, MonomialPoly, SphereBasisPoly
 
 
 def walk_count_matrix(g: Graph, length: int) -> np.ndarray:
@@ -190,6 +190,30 @@ def mul_poly(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return tuple(out)
+
+
+def monomial_table(k: int, n: int) -> list:
+    """S_0..S_n expanded in ascending powers of x, from the three-term recurrence on coefficient tuples."""
+    table = [(1,), (0, 1)]
+    for m in range(2, n + 1):
+        c = k if m == 2 else k - 1
+        prev = table[-2] + (0, 0)
+        table.append(tuple(a - c * b for a, b in zip((0,) + table[-1], prev)))
+    return [MonomialPoly(t) for t in table[: n + 1]]
+
+
+def sphere_poly_monomial(k: int, i: int) -> MonomialPoly:
+    """S_i expanded in the monomial basis; coefficients are exact ints."""
+    return monomial_table(k, i)[i]
+
+
+def to_monomial(poly: SphereBasisPoly) -> MonomialPoly:
+    """A sphere-basis polynomial expanded in the monomial basis, term by term."""
+    out = [0] * (poly.degree + 1)
+    for c, s in zip(poly.coeffs, monomial_table(poly.k, poly.degree)):
+        for j, a in enumerate(s.coeffs):
+            out[j] += c * a
+    return MonomialPoly(tuple(out))
 
 
 def solve_gauss_jordan(M, rhs):

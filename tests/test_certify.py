@@ -162,6 +162,20 @@ class TestCertifyVerdicts:
         assert certify(Graph.from_edges(0, [])).verdict == VERDICT_NOT_APPLICABLE
 
 
+class TestCycles:
+    """Float certificates of cycles are multiplied out on their binary fractions."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_certified_up_to_47(self, seed):
+        for n in range(3, 48):
+            g = family(f"cycle:{n}")
+            if seed is not None:
+                perm = list(range(n))
+                random.Random(seed * 1000 + n).shuffle(perm)
+                g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert certify(g).verdict == VERDICT_CERTIFIED, (n, seed)
+
+
 class TestPastCertificateDegree:
     """Graphs whose certificate degree 2d - 1 exceeds MAX_DEGREE still get a verdict."""
 

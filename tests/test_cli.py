@@ -211,6 +211,22 @@ class TestBound:
         assert doc["lp"]["status"] == "optimal"
         assert doc["lp"]["bound"] == pytest.approx(5.0080160320772, rel=1e-12)
 
+    def test_float_ball8_certificate_valid(self, capsys):
+        # zeros of B_8 at k = 4 rounded to multiples of 1/1009, as floats: the
+        # certificate is multiplied out on the stored binary fractions, so it
+        # is as valid as its exact twin
+        eigenvalues = (
+            "3.2378592666005948,2.587710604558969,1.6025768087215064,0.41427155599603566,"
+            "-0.8186323092170465,-1.9326065411298314,-2.7888999008919724,-3.3012884043607533"
+        )
+        code, out, _ = run(
+            capsys, "bound", "--k", "4", f"--eigenvalues={eigenvalues}", "--method", "certificate", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)["certificate"]
+        assert all(rep["ok"] for rep in doc["conditions"].values())
+        assert doc["bound"] == pytest.approx(13267.42, rel=1e-6)
+
     def test_degree_flag(self, capsys):
         code, out, _ = run(
             capsys, "bound", "--k", "3", "--eigenvalues", "1,-2", "--degree", "1", "--method", "lp", "--json"
@@ -239,6 +255,23 @@ TOKEN_LISTS = st.one_of(
     st.lists(NUMBERS, min_size=1, max_size=4, unique=True),
     st.lists(st.one_of(NUMBERS, JUNK), min_size=1, max_size=4),
 )
+
+
+class TestParser:
+    def test_built_once(self, capsys, monkeypatch):
+        # main parses with the module's parser; it never builds another
+        builds = []
+        build = cli._build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", counted)
+        for _ in range(3):
+            assert run(capsys, "bound", "--k", "3", "--eigenvalues", "1,-2")[0] == 0
+        assert run(capsys, "generate", "petersen")[0] == 0
+        assert builds == []
 
 
 class TestBoundContract:

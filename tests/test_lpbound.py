@@ -22,11 +22,10 @@ from expanderlp import (
     lp_bound_primal,
     parse_family,
     sphere_poly,
-    sphere_poly_monomial,
     spectrum,
     to_sphere_basis,
 )
-from oracles import solve_gauss_jordan
+from oracles import solve_gauss_jordan, sphere_poly_monomial, to_monomial
 
 
 def family(text):
@@ -152,6 +151,14 @@ def exact_eigenvalue_sets(draw):
     ints = st.integers(-3 * k, k - 1)
     fractions = st.fractions(-3 * k, k - 1, max_denominator=60)
     element = draw(st.sampled_from([ints, st.one_of(ints, fractions)]))
+    return k, tuple(draw(st.sets(element, min_size=1, max_size=16)))
+
+
+@st.composite
+def float_eigenvalue_sets(draw):
+    """(k, eigenvalues): up to 16 distinct finite floats below k."""
+    k = draw(st.integers(2, 7))
+    element = st.floats(-3 * k, k, exclude_max=True, allow_nan=False)
     return k, tuple(draw(st.sets(element, min_size=1, max_size=16)))
 
 
@@ -290,7 +297,7 @@ class TestCertificateFromSpectrum:
         roots = [ordered[0]] + [t for t in ordered[1:] for _ in range(2)]
         expected = to_sphere_basis(k, MonomialPoly.from_roots(roots))
         assert cert.poly.coeffs == expected.coeffs
-        horner = expected.to_monomial()
+        horner = to_monomial(expected)
         assert cert.value_at_k == horner(Fraction(k)) == math.prod(k - r for r in roots)
         for t in taus:
             assert cert.poly(t) == horner(Fraction(t)) == 0
@@ -302,18 +309,30 @@ class TestCertificateFromSpectrum:
             assert all(isinstance(c, (int, Fraction)) for c in cert.poly.coeffs)
 
     def test_exact_path_forms_no_monomials(self, monkeypatch):
+        # int, Fraction and float data all multiply their factors in the sphere
+        # basis: a float is the binary fraction it stores
         def monomial_route(*args):
             raise AssertionError("monomial route taken")
 
-        monkeypatch.setattr(lpbound, "to_sphere_basis", monomial_route)
         monkeypatch.setattr(orthopoly, "to_sphere_basis", monomial_route)
         monkeypatch.setattr(MonomialPoly, "from_roots", staticmethod(monomial_route))
         assert certificate_from_spectrum(3, (1, -2)).bound == 10
         mixed = certificate_from_spectrum(3, (Fraction(1, 3), Fraction(-7, 5), Fraction(2, 7)))
         assert mixed.conditions.all_ok()
-        # float data keep the monomial route
-        with pytest.raises(AssertionError, match="monomial route"):
-            certificate_from_spectrum(3, (1.0, -2.0))
+        assert certificate_from_spectrum(3, (1.0, -2.0)).bound == 10.0
+        assert certificate_from_spectrum(2, spectrum(family("cycle:30")).nontrivial).conditions.all_ok()
+
+    @given(float_eigenvalue_sets())
+    @example((4, tuple(a / 1009 for a in (3267, 2611, 1617, 418, -826, -1950, -2814, -3331))))
+    @settings(max_examples=60, deadline=None)
+    def test_float_data_rounded_once(self, data):
+        # each float coefficient is float() of the exact certificate of the
+        # same binary fractions, bit for bit
+        k, taus = data
+        cert = certificate_from_spectrum(k, taus)
+        exact = certificate_from_spectrum(k, [Fraction(t) for t in taus])
+        assert all(type(c) is float for c in cert.poly.coeffs)
+        assert [c.hex() for c in cert.poly.coeffs] == [float(c).hex() for c in exact.poly.coeffs]
 
     def test_mixed_data_run_in_float(self):
         # one float token makes every eigenvalue a float before any arithmetic:

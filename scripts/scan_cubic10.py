@@ -7,14 +7,18 @@ minimum second-largest adjacency eigenvalue, and certifies the winner.  The
 minimum is attained by the petersen graph at lambda_2 = 1.
 
 The graphs arrive as blocks of neighbour bitmasks from
-connected_cubic_masks.  Each block is expanded to a stack of float64
-adjacency matrices and solved by one batched eigvalsh call.  The winner is
-the first graph, in enumeration order, with the least lambda_2, where two
-values within TIE of each other count as equal: eigvalsh rounds the same
-lambda_2 of relabelled graphs differently, so an exact comparison would pick
-whichever labelling happens to round lowest.  A later block replaces the
-winner only with a lambda_2 more than TIE below it.  A heartbeat is printed
-at the first block boundary at or past each multiple of N graphs.
+connected_cubic_masks.  The 132930 labelled graphs have only 19 spectra, so
+the scan solves one eigenproblem per spectrum, not per graph.  Each graph's
+key is its closed-walk counts tr A^j for j = 3..10, exact integers.  By
+Newton's identities the power sums tr A^j, j = 1..n, fix the characteristic
+polynomial of an n x n matrix, and every cubic graph on 10 vertices has
+tr A = 0 and tr A^2 = 30, so two graphs with one key have one spectrum.  A
+block's distinct keys are found by np.unique; the first graph of each key
+not seen before is solved by one batched eigvalsh, and every graph reads its
+lambda_2 from the key.  Relabelled graphs thus share one float lambda_2, and
+the winner is the first graph, in enumeration order, with the least
+lambda_2.  A heartbeat is printed at the first block boundary at or past
+each multiple of N graphs.
 """
 
 import argparse
@@ -27,7 +31,30 @@ from expanderlp import Graph, certify, girth_bfs, write_graph6
 from expanderlp.enumeration import connected_cubic_masks
 
 N = 10
-TIE = 1e-9
+
+
+def walk_keys(adjacency: np.ndarray) -> np.ndarray:
+    """tr A^j for j = 3..10 of each matrix in a (B, n, n) float64 stack, as int64.
+
+    tr A^(a+b) is the sum of the entries of A^a * A^b, since the powers are
+    symmetric.  For a cubic graph on at most 10 vertices every entry of A^5
+    is at most 3^5 and every trace at most 10 * 3^10, so the float64 sums
+    are exact.
+    """
+    def trace(x, y):
+        return np.einsum("bij,bij->b", x, y)
+
+    a2 = adjacency @ adjacency
+    traces = [trace(adjacency, a2), trace(a2, a2)]
+    a3 = a2 @ adjacency
+    traces += [trace(a2, a3), trace(a3, a3)]
+    a4 = a2 @ a2
+    del a2
+    traces += [trace(a3, a4), trace(a4, a4)]
+    del a3
+    a5 = a4 @ adjacency
+    traces += [trace(a4, a5), trace(a5, a5)]
+    return np.stack(traces, axis=1).astype(np.int64)
 
 
 def main() -> int:
@@ -38,15 +65,23 @@ def main() -> int:
 
     start = time.monotonic()
     bits = np.arange(N, dtype=np.uint16)
+    lambda2 = {}
     best = None
     best_adjacency = None
     count = 0
     for block in connected_cubic_masks(N):
         adjacency = ((block[:, :, None] >> bits) & 1).astype(np.float64)
-        second = np.linalg.eigvalsh(adjacency)[:, -2]
-        low = second.min()
-        if best is None or low < best - TIE:
-            i = int(np.argmax(second <= low + TIE))
+        walks = walk_keys(adjacency)
+        rows = walks.view(np.dtype((np.void, walks.shape[1] * walks.itemsize))).ravel()
+        keys, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        keys = [key.tobytes() for key in keys]
+        new = [i for i, key in enumerate(keys) if key not in lambda2]
+        if new:
+            solved = np.linalg.eigvalsh(adjacency[first[new]])[:, -2]
+            lambda2.update(zip((keys[i] for i in new), solved))
+        second = np.array([lambda2[key] for key in keys])[inverse]
+        i = int(np.argmin(second))
+        if best is None or second[i] < best:
             best = second[i]
             best_adjacency = adjacency[i]
         before, count = count, count + len(block)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expanderlp import (
     MAX_DEGREE,
@@ -160,6 +162,42 @@ class TestCertifyVerdicts:
         single_edge = Graph.from_edges(2, [(0, 1)])
         assert certify(single_edge).verdict == VERDICT_NOT_APPLICABLE
         assert certify(Graph.from_edges(0, [])).verdict == VERDICT_NOT_APPLICABLE
+
+
+@st.composite
+def simple_graphs(draw):
+    """Graphs on 0..12 vertices, from empty to complete."""
+    n = draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**31 - 1)))
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+@st.composite
+def regular_graphs(draw):
+    """random_regular_graph(n, k) on 1..24 vertices, or its complement.
+
+    k stays at most 5: the pairing model needs about exp((k^2 - 1) / 4)
+    draws, which is up to a second per graph at k = 6 and more than
+    MAX_PAIRINGS at k = 7.  The complements are the dense regular graphs,
+    k = 6 and 7 among them.
+    """
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(0, min(5, n - 1)))
+    k -= n * k % 2  # no k-regular graph has an odd n * k
+    g = random_regular_graph(n, k, random.Random(draw(st.integers(0, 2**31 - 1))))
+    if draw(st.booleans()):
+        g = Graph.from_edges(n, np.argwhere(np.triu(1 - g.adjacency_matrix(), 1)).tolist())
+    return g
+
+
+class TestCertifyContract:
+    """certify gives one of its three verdicts on every graph and never raises."""
+
+    @given(st.one_of(simple_graphs(), regular_graphs()))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict(self, g):
+        assert certify(g).verdict in (VERDICT_CERTIFIED, VERDICT_FAILED, VERDICT_NOT_APPLICABLE)
 
 
 class TestCycles:

@@ -1,8 +1,13 @@
+import random
+import re
 import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from expanderlp.enumeration import BLOCK_ROWS, connected_cubic_masks
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SCAN = SCRIPTS / "scan_cubic10.py"
@@ -17,8 +22,52 @@ def run_scan(monkeypatch, capsys, progress: int) -> list[str]:
     return capsys.readouterr().out.splitlines()
 
 
+def adjacency(masks: np.ndarray) -> np.ndarray:
+    """A (B, n) block of neighbour masks as a (B, n, n) float64 stack."""
+    bits = np.arange(masks.shape[1], dtype=np.uint16)
+    return ((masks[:, :, None] >> bits) & 1).astype(np.float64)
+
+
+walk_keys = runpy.run_path(str(SCAN))["walk_keys"]
+
+
+@pytest.mark.parametrize("n, spectra", [(4, 1), (6, 2), (8, 5)])
+def test_walk_keys_fix_the_spectrum(n, spectra):
+    stack = np.concatenate([adjacency(masks) for masks in connected_cubic_masks(n)])
+    keys = walk_keys(stack)
+    exact = stack.astype(np.int64)
+    traces = [np.trace(np.linalg.matrix_power(exact, j), axis1=1, axis2=2) for j in range(3, 11)]
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, np.stack(traces, axis=1))
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    assert len(distinct) == spectra
+    eigenvalues = np.linalg.eigvalsh(stack)
+    for key in range(len(distinct)):
+        mates = eigenvalues[inverse.ravel() == key]
+        assert np.abs(mates - mates[0]).max() <= 1e-12
+
+
+def test_walk_keys_ignore_labels():
+    stack = adjacency(next(connected_cubic_masks(10)))
+    keys = walk_keys(stack)
+    for seed in range(20):
+        perm = list(range(10))
+        random.Random(seed).shuffle(perm)
+        assert np.array_equal(walk_keys(stack[:, perm][:, :, perm]), keys)
+
+
 def test_scan_cubic10_finds_certified_petersen(monkeypatch, capsys):
+    eigvalsh = np.linalg.eigvalsh
+    solved = []
+
+    def counted(a):
+        solved.append(a.size // a.shape[-1] ** 2)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     lines = run_scan(monkeypatch, capsys, 0)
+    # 19 spectra among the 132930 graphs, plus certify's one eigensolve.
+    assert sum(solved) <= 20
     for want in (
         "graphs scanned: 132930",
         "minimum lambda_2: 1.000000000000",
@@ -32,8 +81,16 @@ def test_scan_cubic10_finds_certified_petersen(monkeypatch, capsys):
 
 def test_scan_cubic10_heartbeat(monkeypatch, capsys):
     lines = run_scan(monkeypatch, capsys, 50000)
-    beats = [line for line in lines if line.lstrip().startswith("scanned ")]
-    assert len(beats) >= 2
+    beats = [re.fullmatch(r"  scanned (\d+) graphs, running min lambda_2 = (\S+)", line)
+             for line in lines if line.lstrip().startswith("scanned ")]
+    assert all(beats) and len(beats) == 132930 // 50000
+    counts = [int(beat[1]) for beat in beats]
+    minima = [float(beat[2]) for beat in beats]
+    # A heartbeat comes at the first block boundary at or past each multiple.
+    for m, count in enumerate(counts, 1):
+        assert m * 50000 <= count < m * 50000 + BLOCK_ROWS
+    assert minima == sorted(minima, reverse=True)
+    assert beats[-1][2] == "1.000000000"
 
 
 def test_snapshot_outputs_raise_nothing(monkeypatch, capsys, tmp_path):

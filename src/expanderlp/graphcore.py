@@ -18,10 +18,8 @@ __all__ = [
     "write_graph6",
     "regularity",
     "is_connected",
-    "is_bipartite",
     "girth_bfs",
     "all_pairs_distances",
-    "distance_matrix",
     "diameter",
     "IntersectionArray",
     "is_distance_regular",
@@ -201,24 +199,6 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
 def girth_bfs(g: Graph) -> Optional[int]:
     """Length of a shortest cycle; None if acyclic.
 
@@ -231,15 +211,6 @@ def girth_bfs(g: Graph) -> Optional[int]:
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Distance matrix by the all-sources level sweep; -1 marks unreachable pairs."""
     return _level_sweep(g)[0]
-
-
-def distance_matrix(g: Graph, i: int) -> np.ndarray:
-    """Boolean matrix of the pairs at distance exactly i; requires connectivity."""
-    if not is_connected(g):
-        raise ValueError("distance matrix requires a connected graph")
-    if i < 0:
-        raise ValueError("distance must be nonnegative")
-    return all_pairs_distances(g) == i
 
 
 def diameter(g: Graph) -> int:

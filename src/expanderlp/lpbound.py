@@ -454,7 +454,8 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
     "optimal" always carries an exact proof, and "infeasible" or
     "unbounded" comes only from exact pivoting: on float data the Fraction
     tableau re-solves the same floats, as the float tableau's tolerances
-    can stop a feasible, bounded LP early, and its values return as floats.
+    can stop a feasible, bounded LP early, and its values return as floats
+    (ValueError if one is past float64's range).
     """
     conv = Fraction if exact else float
     A, b, cost, unit = _standard_form(c, rows, conv)
@@ -462,7 +463,10 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
     status, basis, values = solved or _bland(A, b, cost, unit, exact=exact)
     if status != "optimal" and not exact:
         status, basis, values = _bland(*_standard_form(c, rows, Fraction), exact=True)
-        values = [float(v) for v in values]
+        try:
+            values = [float(v) for v in values]
+        except OverflowError:
+            raise ValueError("the LP optimum lies past float64's range") from None
     if status != "optimal":
         return status, [], None
     x = [conv(0)] * len(c)

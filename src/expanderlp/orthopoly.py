@@ -10,7 +10,9 @@ counting non-backtracking walks of length i; on the infinite k-regular tree it
 is the indicator of the distance-i sphere.  The family is orthogonal on
 [-2*sqrt(k-1), 2*sqrt(k-1)] with respect to the weight
 
-    w(x) = sqrt(4*(k-1) - x**2) / (k**2 - x**2).
+    w(x) = sqrt(4*(k-1) - x**2) / (k**2 - x**2),
+
+the Kesten-McKay density of the tree (McKay 1981) times 2*pi/k.
 
 Partial sums B_i = S_0 + ... + S_i (ball polynomials) satisfy
 (x - k)*B_i = S_{i+1} - (k-1)*S_i and are monic orthogonal for (k - x)*w(x).
@@ -35,21 +37,21 @@ import numpy as np
 
 __all__ = [
     "MAX_DEGREE",
-    "MonomialPoly",
     "SphereBasisPoly",
     "sphere_sequence",
     "sphere_poly",
-    "ball_poly",
     "to_sphere_basis",
     "sphere_basis_from_roots",
     "linearize_product",
-    "tree_weight",
     "weight_quadrature",
 ]
 
 # Coefficient growth is ~ k*(k-1)**i, so degrees beyond this are not useful
 # for graphs within the size caps and are rejected outright.
 MAX_DEGREE = 64
+
+# Nodes of weight_quadrature's midpoint rule.
+QUADRATURE_NODES = 128
 
 
 def _is_rational(x) -> bool:
@@ -98,67 +100,6 @@ def sphere_poly(k: int, i: int, x):
     _check_k(k)
     _check_index(i)
     return list(sphere_sequence(k, x, i))[i]
-
-
-def ball_poly(k: int, i: int, x):
-    """Value of the partial sum B_i = S_0 + ... + S_i at x."""
-    _check_k(k)
-    _check_index(i)
-    return sum(sphere_sequence(k, x, i))
-
-
-@dataclass(frozen=True)
-class MonomialPoly:
-    """Polynomial as coefficients in ascending powers of x.
-
-    Trailing exact zeros are stripped so degree() reflects the true degree.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
-        if not cs:
-            cs = (0,)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return MonomialPoly(tuple(out))
-
-    def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, bj in enumerate(b):
-            out[j] = out[j] + bj
-        return MonomialPoly(tuple(out))
-
-    @staticmethod
-    def from_roots(roots) -> "MonomialPoly":
-        poly = MonomialPoly((1,))
-        for r in roots:
-            poly = poly * MonomialPoly((-r, 1))
-        return poly
 
 
 @dataclass(frozen=True)
@@ -218,17 +159,23 @@ def _times_linear(k: int, p: list, a: int = 0, q: int = 1) -> list:
     return out
 
 
-def to_sphere_basis(k: int, poly: MonomialPoly) -> SphereBasisPoly:
-    """Rewrite a monomial-basis polynomial over the basis {S_0, S_1, ...}.
+def to_sphere_basis(k: int, coeffs) -> SphereBasisPoly:
+    """Rewrite ascending monomial coefficients over the basis {S_0, S_1, ...}.
 
-    Horner's rule p <- x*p + c in the sphere basis, from the leading
-    coefficient down; exact for int/Fraction coefficients.
+    Trailing exact zeros are stripped first.  Horner's rule p <- x*p + c in
+    the sphere basis, from the leading coefficient down; exact for
+    int/Fraction coefficients.  It stays public as the conversion that tests
+    check the sphere-basis arithmetic against, and benchmarks/tracing.py
+    traces it by name.
     """
     _check_k(k)
-    if poly.degree > MAX_DEGREE:
-        raise ValueError(f"degree {poly.degree} exceeds supported maximum {MAX_DEGREE}")
-    p = [poly.coeffs[-1]]
-    for c in reversed(poly.coeffs[:-1]):
+    cs = list(coeffs) or [0]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    if len(cs) - 1 > MAX_DEGREE:
+        raise ValueError(f"degree {len(cs) - 1} exceeds supported maximum {MAX_DEGREE}")
+    p = [cs[-1]]
+    for c in reversed(cs[:-1]):
         p = _times_linear(k, p)
         p[0] += c
     return SphereBasisPoly(k, tuple(p))
@@ -271,47 +218,19 @@ def linearize_product(k: int, i: int, j: int) -> tuple:
     return tuple(cur)
 
 
-def tree_weight(k: int, x: float) -> float:
-    """Orthogonality weight sqrt(4*(k-1) - x**2) / (k**2 - x**2).
+def weight_quadrature(k: int):
+    """Nodes x and weights q with sum(f(x)*q) = integral of f*w over the support.
 
-    Defined on |x| <= 2*sqrt(k-1); the numerator vanishes at the endpoints.
-    For k = 2 the endpoints coincide with the poles at +-k and are rejected.
+    With x = a*cos(t), a = 2*sqrt(k-1), the integral of f*w is the integral
+    over [0, pi] of f(a*cos(t)) * s**2 / ((k-2)**2 + s**2) dt, s = a*sin(t)
+    (the denominator is k**2 - x**2).  That integrand is smooth and periodic
+    for k >= 3 and is f(2*cos(t)) at k = 2, so the midpoint rule in t on
+    QUADRATURE_NODES nodes is exact to rounding for polynomials f of degree
+    well below 2*QUADRATURE_NODES.  The returned weights include w.
     """
     _check_k(k)
-    x = float(x)
-    edge = 2.0 * math.sqrt(k - 1)
-    if abs(x) > edge:
-        raise ValueError(f"|x| = {abs(x)} outside support [{-edge}, {edge}]")
-    den = float(k * k) - x * x
-    if den == 0.0:
-        raise ValueError(f"weight has a pole at x = {x} for k = {k}")
-    return math.sqrt(max(4.0 * (k - 1) - x * x, 0.0)) / den
-
-
-def weight_quadrature(k: int, min_nodes: int = 2000):
-    """Nodes x and weights q with sum(f(x)*q) ~ integral of f*w over the support.
-
-    Composite Gauss-Legendre on [-a + eps, a - eps], a = 2*sqrt(k-1),
-    eps = 1e-9, with panels geometrically refined toward the endpoints where
-    the weight has square-root behaviour.  The returned weights include the
-    orthogonality weight w.
-    """
-    _check_k(k)
+    m = QUADRATURE_NODES
+    t = (2 * np.arange(1, m + 1) - 1) * (math.pi / (2 * m))
     a = 2.0 * math.sqrt(k - 1)
-    eps = 1e-9
-    # Panel edges: uniform across the middle, dyadically graded near +-a.
-    levels = int(math.floor(math.log2(a / eps)))
-    right = [a - a / 2.0**m for m in range(1, levels + 1)] + [a - eps]
-    middle = [-a / 2.0 + t * (a / 8.0) for t in range(1, 8)]
-    edges = sorted({-e for e in right} | set(middle) | set(right))
-    panels = list(zip(edges[:-1], edges[1:]))
-    per_panel = max(16, -(-min_nodes // len(panels)))
-    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
-    xs, ws = [], []
-    for lo, hi in panels:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        x = mid + half * base_x
-        xs.append(x)
-        ws.append(half * base_w * np.array([tree_weight(k, t) for t in x]))
-    return np.concatenate(xs), np.concatenate(ws)
+    s2 = (a * np.sin(t)) ** 2
+    return a * np.cos(t), (math.pi / m) * s2 / ((k - 2) ** 2 + s2)

@@ -32,7 +32,6 @@ __all__ = [
     "girth_spectral",
     "HoffmanData",
     "hoffman_decomposition",
-    "spectral_gap",
 ]
 
 SPECTRAL_SIZE_CAP = 512
@@ -181,14 +180,3 @@ def hoffman_decomposition(g: Graph) -> HoffmanData:
     gap = count * (1 - ball) - mats[d]
     residual = Fraction(int(np.abs(gap).max()), count)
     return HoffmanData(count, float(residual))
-
-
-def spectral_gap(g: Graph) -> float:
-    """k minus the second-largest distinct eigenvalue of a connected regular graph."""
-    k = regularity(g)
-    if k is None or not is_connected(g):
-        raise ValueError("spectral gap requires a connected regular graph")
-    spec = spectrum(g)
-    if spec.d < 1:
-        raise ValueError("graph has a single distinct eigenvalue")
-    return float(k - spec.entries[1][0])

@@ -8,11 +8,18 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
-from expanderlp import Graph, Graph6Error, MonomialPoly, SphereBasisPoly
+from expanderlp import Graph, Graph6Error, SphereBasisPoly
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Whether a connected k-regular graph is bipartite: iff -k is an adjacency eigenvalue."""
+    least = np.linalg.eigvalsh(g.adjacency_matrix(dtype=np.float64))[0]
+    return bool(abs(least + len(g.neighbors[0])) < 1e-9)
 
 
 def walk_count_matrix(g: Graph, length: int) -> np.ndarray:
@@ -192,6 +199,11 @@ def mul_poly(a, b):
     return tuple(out)
 
 
+def from_roots(roots):
+    """prod (x - r) over roots, as ascending coefficients."""
+    return reduce(mul_poly, [(-r, 1) for r in roots], (1,))
+
+
 def monomial_table(k: int, n: int) -> list:
     """S_0..S_n expanded in ascending powers of x, from the three-term recurrence on coefficient tuples."""
     table = [(1,), (0, 1)]
@@ -199,21 +211,21 @@ def monomial_table(k: int, n: int) -> list:
         c = k if m == 2 else k - 1
         prev = table[-2] + (0, 0)
         table.append(tuple(a - c * b for a, b in zip((0,) + table[-1], prev)))
-    return [MonomialPoly(t) for t in table[: n + 1]]
+    return table[: n + 1]
 
 
-def sphere_poly_monomial(k: int, i: int) -> MonomialPoly:
+def sphere_poly_monomial(k: int, i: int) -> tuple:
     """S_i expanded in the monomial basis; coefficients are exact ints."""
     return monomial_table(k, i)[i]
 
 
-def to_monomial(poly: SphereBasisPoly) -> MonomialPoly:
+def to_monomial(poly: SphereBasisPoly) -> tuple:
     """A sphere-basis polynomial expanded in the monomial basis, term by term."""
     out = [0] * (poly.degree + 1)
     for c, s in zip(poly.coeffs, monomial_table(poly.k, poly.degree)):
-        for j, a in enumerate(s.coeffs):
+        for j, a in enumerate(s):
             out[j] += c * a
-    return MonomialPoly(tuple(out))
+    return tuple(out)
 
 
 def solve_gauss_jordan(M, rhs):

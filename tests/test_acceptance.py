@@ -25,7 +25,6 @@ from expanderlp import (
     lp_bound_primal,
     moore_bound,
     regularity,
-    spectral_gap,
     spectrum,
     sphere_poly,
     sphere_poly_matrix,
@@ -162,14 +161,16 @@ def test_criterion_4d_linearization_pattern():
 
 
 def test_criterion_4e_orthogonality():
-    with verdict("criterion 4e: quadrature orthogonality below 1e-6"):
-        for k in (3, 4, 5):
+    with verdict("criterion 4e: quadrature orthogonality below 1e-6, mass 2 pi / k to 1e-12"):
+        for k in (2, 3, 4, 5):
             x, w = weight_quadrature(k)
+            assert abs(float(w.sum()) - 2 * math.pi / k) <= 1e-12, k
             vals = [sphere_poly(k, i, x) for i in range(9)]
             for i in range(9):
                 for j in range(i):
                     inner = abs(float(np.sum(vals[i] * vals[j] * w)))
                     assert inner <= 1e-6, (k, i, j, inner)
+                    assert inner <= 1e-12 * math.sqrt(sphere_poly(k, i, k) * sphere_poly(k, j, k)), (k, i, j, inner)
 
 
 def test_criterion_4f_lp_gap():
@@ -191,7 +192,7 @@ def test_criterion_4g_expansion_sandwich():
             if g.n > 24:
                 continue
             k = regularity(g)
-            tau = spectral_gap(g)
+            tau = k - spectrum(g).entries[1][0]
             h = edge_expansion(g).h
             assert isinstance(h, Fraction)
             assert float(h) >= tau / 2 - 1e-9, spec

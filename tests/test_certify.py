@@ -1,6 +1,10 @@
+import contextlib
 import importlib
+import io
 import json
 import random
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from expanderlp import (
     write_graph6,
 )
 from expanderlp.certify import catalog_row
+from expanderlp.cli import main
 from expanderlp.enumeration import random_regular_graph
 
 
@@ -198,6 +203,51 @@ class TestCertifyContract:
     @settings(max_examples=300, deadline=None)
     def test_verdict(self, g):
         assert certify(g).verdict in (VERDICT_CERTIFIED, VERDICT_FAILED, VERDICT_NOT_APPLICABLE)
+
+
+def run_on_stdin(data: bytes, *argv):
+    """Exit code, stdout and stderr of the CLI reading data on stdin."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, SimpleNamespace(buffer=io.BytesIO(data))
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "-"])
+    finally:
+        sys.stdin = stdin
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+class TestCliContract:
+    """analyze and certify measure a graph alike, and exit 0-3 on any input."""
+
+    @given(st.one_of(simple_graphs(), regular_graphs()))
+    @settings(max_examples=300, deadline=None)
+    def test_analyze_agrees_with_certify(self, g):
+        word = write_graph6(g) + b"\n"
+        code, out, _ = run_on_stdin(word, "certify")
+        assert code == 0
+        report = json.loads(out)
+        if report["verdict"] == VERDICT_NOT_APPLICABLE:
+            return
+        code, out, _ = run_on_stdin(word, "analyze", "--json")
+        assert code == 0
+        info = json.loads(out)
+        for key in ("v", "k", "girth", "diameter", "d", "spectrum"):
+            assert info[key] == report[key], key
+
+    @pytest.mark.parametrize(
+        "argv, json_out",
+        [(["analyze"], False), (["analyze", "--json"], True), (["certify"], True), (["certify", "--text"], False)],
+    )
+    @given(data=st.one_of(st.binary(max_size=40), st.one_of(simple_graphs(), regular_graphs()).map(write_graph6)))
+    @settings(max_examples=40, deadline=None)
+    def test_exit_code_never_raises(self, argv, json_out, data):
+        code, out, err = run_on_stdin(data, *argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == "" and err.startswith("error: ")
+        elif json_out:
+            json.loads(out)
 
 
 class TestCycles:

@@ -172,8 +172,10 @@ class TestBound:
         [
             ["--k", "3", "--eigenvalues=-1e200,1", "--degree", "3"],
             ["--k", "1000000", "--eigenvalues=0.5", "--degree", "64", "--method", "lp"],
+            # a subnormal tau: f_1 >= 1/|tau| is past float64's range
+            ["--k", "2", "--eigenvalues=-2.225073858507203e-309", "--method", "lp"],
         ],
-        ids=["eigenvalue", "degree"],
+        ids=["eigenvalue", "degree", "lp-optimum"],
     )
     def test_past_float_range_exit_1(self, capsys, argv):
         code, out, err = run(capsys, "bound", *argv)
@@ -280,6 +282,7 @@ class TestBoundContract:
     @given(k=st.integers(2, 8), tokens=TOKEN_LISTS, as_json=st.booleans())
     @example(k=3, tokens=["-1" + "0" * 200 + "/3", "1"], as_json=False)
     @example(k=3, tokens=["-1" + "0" * 250, "-2" + "0" * 250, "-1e300"], as_json=True)
+    @example(k=2, tokens=["-2.225073858507203e-309"], as_json=False)
     @settings(max_examples=40, deadline=5000)
     def test_exit_code_never_raises(self, method, k, tokens, as_json):
         argv = ["bound", "--k", str(k), f"--eigenvalues={','.join(tokens)}", "--method", method]

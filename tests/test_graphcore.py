@@ -12,17 +12,15 @@ from expanderlp import (
     all_pairs_distances,
     build,
     diameter,
-    distance_matrix,
     edge_expansion,
     girth_bfs,
-    is_bipartite,
     is_connected,
     is_distance_regular,
     parse_family,
     regularity,
 )
 from expanderlp.enumeration import random_regular_graph
-from oracles import bfs_distances, expansion_brute, intersection_array_brute
+from oracles import bfs_distances, expansion_brute, intersection_array_brute, is_bipartite
 
 
 def family(text):
@@ -110,14 +108,11 @@ class TestGirth:
 
 class TestDistances:
     def test_distance_matrix_cycle(self):
-        g = c_n(6)
-        assert list(all_pairs_distances(g)[0]) == [0, 1, 2, 3, 2, 1]
-        at2 = distance_matrix(g, 2)
-        assert at2.dtype == bool
-        assert list(at2[0]) == [False, False, True, False, True, False]
+        dist = all_pairs_distances(c_n(6))
+        assert list(dist[0]) == [0, 1, 2, 3, 2, 1]
+        assert list((dist == 2)[0]) == [False, False, True, False, True, False]
         # indicator layers partition the vertex pairs
-        total = sum(distance_matrix(g, i).sum() for i in range(4))
-        assert total == 36
+        assert sum((dist == i).sum() for i in range(4)) == 36
 
     def test_all_pairs(self):
         g = family("petersen")
@@ -133,8 +128,6 @@ class TestDistances:
         g = Graph.from_edges(3, [(0, 1)])
         dist = all_pairs_distances(g)
         assert dist[0, 2] == -1
-        with pytest.raises(ValueError):
-            distance_matrix(g, 0)
 
     def test_diameter(self):
         assert diameter(k4()) == 1

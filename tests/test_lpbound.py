@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from expanderlp import lpbound, orthopoly
 from expanderlp import (
-    MonomialPoly,
     SphereBasisPoly,
     build,
     certificate_from_spectrum,
@@ -25,7 +24,7 @@ from expanderlp import (
     spectrum,
     to_sphere_basis,
 )
-from oracles import solve_gauss_jordan, sphere_poly_monomial, to_monomial
+from oracles import eval_poly, from_roots, solve_gauss_jordan, sphere_poly_monomial, to_monomial
 
 
 def family(text):
@@ -164,7 +163,7 @@ def float_eigenvalue_sets(draw):
 
 class TestCheckCertificate:
     def test_petersen_certificate(self):
-        poly = to_sphere_basis(3, MonomialPoly.from_roots((1, -2, -2)))
+        poly = to_sphere_basis(3, from_roots((1, -2, -2)))
         cert = check_certificate(3, (1, -2), poly)
         assert cert.conditions.all_ok()
         assert cert.value_at_k == 50
@@ -173,7 +172,7 @@ class TestCheckCertificate:
 
     def test_exact_data_has_zero_tolerance(self):
         # an exact coefficient just below zero is a violation, not float noise
-        poly = to_sphere_basis(3, MonomialPoly.from_roots((1, -2, -2)))
+        poly = to_sphere_basis(3, from_roots((1, -2, -2)))
         bad = SphereBasisPoly(3, poly.coeffs + (Fraction(-1, 10**12),))
         cert = check_certificate(3, (1, -2), bad)
         assert not cert.conditions.coeffs_nonnegative.ok
@@ -232,7 +231,7 @@ class TestCheckCertificate:
         assert cert.bound is None
 
     def test_slack_reporting(self):
-        poly = to_sphere_basis(3, MonomialPoly.from_roots((1, -2, -2)))
+        poly = to_sphere_basis(3, from_roots((1, -2, -2)))
         cert = check_certificate(3, (1, -2), poly)
         conds = cert.conditions
         assert conds.value_at_k_positive.slack == 50
@@ -295,12 +294,12 @@ class TestCertificateFromSpectrum:
         cert = certificate_from_spectrum(k, taus)
         ordered = sorted(taus, reverse=True)
         roots = [ordered[0]] + [t for t in ordered[1:] for _ in range(2)]
-        expected = to_sphere_basis(k, MonomialPoly.from_roots(roots))
+        expected = to_sphere_basis(k, from_roots(roots))
         assert cert.poly.coeffs == expected.coeffs
         horner = to_monomial(expected)
-        assert cert.value_at_k == horner(Fraction(k)) == math.prod(k - r for r in roots)
+        assert cert.value_at_k == eval_poly(horner, Fraction(k)) == math.prod(k - r for r in roots)
         for t in taus:
-            assert cert.poly(t) == horner(Fraction(t)) == 0
+            assert cert.poly(t) == eval_poly(horner, Fraction(t)) == 0
         assert cert == check_certificate(k, taus, expected)
         if all(isinstance(t, int) for t in taus):
             assert all(type(c) is int for c in cert.poly.coeffs)
@@ -315,7 +314,6 @@ class TestCertificateFromSpectrum:
             raise AssertionError("monomial route taken")
 
         monkeypatch.setattr(orthopoly, "to_sphere_basis", monomial_route)
-        monkeypatch.setattr(MonomialPoly, "from_roots", staticmethod(monomial_route))
         assert certificate_from_spectrum(3, (1, -2)).bound == 10
         mixed = certificate_from_spectrum(3, (Fraction(1, 3), Fraction(-7, 5), Fraction(2, 7)))
         assert mixed.conditions.all_ok()
@@ -436,7 +434,7 @@ def rounded_ball_zeros(k, d, denominator=1009):
     """Zeros of B_d = S_0 + ... + S_d, rounded to multiples of 1/denominator."""
     coeffs = [0] * (d + 1)
     for i in range(d + 1):
-        for j, c in enumerate(sphere_poly_monomial(k, i).coeffs):
+        for j, c in enumerate(sphere_poly_monomial(k, i)):
             coeffs[j] += c
     zeros = np.roots(coeffs[::-1]).real
     return tuple(sorted({Fraction(round(z * denominator), denominator) for z in zeros}, reverse=True))
@@ -696,8 +694,12 @@ class TestFloatVerdicts:
             # f = 1 + S_3 + S_4 is -7 at 2 but about 1e600 at -1e150, where float
             # evaluation gives inf - inf = nan; the nan was skipped, and the bound 37 stood
             (check_certificate, (3, (2.0, -1e150), SphereBasisPoly(3, (1.0, 0.0, 0.0, 1.0, 1.0)))),
+            # at a subnormal tau the float tableau ends infeasible or unbounded, and
+            # the exact re-solve's optimum (f_1 or m_1 about 4.5e308) has no float
+            (lp_bound_dual, (2, (-2.225073858507203e-309,))),
+            (lp_bound_primal, (2, (-2.225073858507203e-309,))),
         ],
-        ids=["dual", "primal", "dual-degree", "certificate", "check-nan-value"],
+        ids=["dual", "primal", "dual-degree", "certificate", "check-nan-value", "dual-optimum", "primal-optimum"],
     )
     def test_data_past_float_range_rejected(self, fn, args):
         with pytest.raises(ValueError, match="float64's range"):

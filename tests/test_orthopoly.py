@@ -7,18 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlp import (
-    MonomialPoly,
     SphereBasisPoly,
-    ball_poly,
     linearize_product,
     sphere_poly,
     sphere_sequence,
     to_sphere_basis,
-    tree_weight,
     weight_quadrature,
 )
-from expanderlp.orthopoly import sphere_basis_from_roots
-from oracles import divide_by_linear, eval_poly, mul_poly, sphere_poly_monomial, to_monomial
+from expanderlp.orthopoly import QUADRATURE_NODES, sphere_basis_from_roots
+from oracles import divide_by_linear, eval_poly, from_roots, mul_poly, sphere_poly_monomial, to_monomial
+
+
+def ball_poly(k, i, x):
+    """B_i(x) = S_0(x) + ... + S_i(x)."""
+    return sum(sphere_sequence(k, x, i))
 
 
 class TestSpherePoly:
@@ -76,7 +78,7 @@ class TestSpherePoly:
     def test_sequence_matches_monomial_expansion(self, k, i, x):
         values = list(sphere_sequence(k, x, i))
         assert len(values) == i + 1
-        assert values[i] == sphere_poly_monomial(k, i)(x)
+        assert values[i] == eval_poly(sphere_poly_monomial(k, i), x)
 
     @given(st.integers(2, 8), st.integers(-(10**6), 10**6), st.integers(1, 10**6), st.integers(0, 20))
     @settings(max_examples=80, deadline=None)
@@ -106,8 +108,8 @@ class TestBallPoly:
                 num = [
                     a - (k - 1) * b
                     for a, b in zip(
-                        _pad(sphere_poly_monomial(k, i + 1).coeffs, i + 2),
-                        _pad(sphere_poly_monomial(k, i).coeffs, i + 2),
+                        _pad(sphere_poly_monomial(k, i + 1), i + 2),
+                        _pad(sphere_poly_monomial(k, i), i + 2),
                     )
                 ]
                 quot, rem = divide_by_linear(tuple(num), k)
@@ -120,27 +122,37 @@ def _pad(coeffs, n):
     return tuple(coeffs) + (0,) * (n - len(coeffs))
 
 
+def _strip(coeffs):
+    cs = tuple(coeffs) or (0,)
+    while len(cs) > 1 and cs[-1] == 0:
+        cs = cs[:-1]
+    return cs
+
+
 class TestMonomialPoly:
+    # monomials as ascending coefficient tuples: to_sphere_basis's input and
+    # the oracle's helpers
+
     def test_trailing_zeros_stripped(self):
-        p = MonomialPoly((1, 2, 0, 0))
+        p = to_sphere_basis(3, (1, 2, 0, 0))
         assert p.coeffs == (1, 2)
         assert p.degree == 1
 
     def test_zero_poly(self):
-        p = MonomialPoly((0, 0))
-        assert p.coeffs == (0,)
-        assert p(17) == 0
+        for zero in ((0, 0), (), [0]):
+            p = to_sphere_basis(3, zero)
+            assert p.coeffs == (0,)
+            assert p(17) == 0
 
     def test_eval_and_mul(self):
-        p = MonomialPoly((-4, 0, 3, 1))
-        assert p(2) == -4 + 12 + 8
-        q = MonomialPoly((1, 1))
-        assert (p * q).coeffs == tuple(mul_poly((-4, 0, 3, 1), (1, 1)))
+        p = (-4, 0, 3, 1)
+        assert eval_poly(p, 2) == -4 + 12 + 8
+        assert mul_poly(p, (1, 1)) == (-4, -4, 3, 4, 1)
 
     def test_from_roots(self):
-        p = MonomialPoly.from_roots((1, -2, -2))
-        assert p.coeffs == (-4, 0, 3, 1)
-        assert p(1) == 0 and p(-2) == 0
+        p = from_roots((1, -2, -2))
+        assert p == (-4, 0, 3, 1)
+        assert eval_poly(p, 1) == 0 and eval_poly(p, -2) == 0
 
     @given(
         st.lists(st.integers(-9, 9), min_size=1, max_size=6),
@@ -149,31 +161,32 @@ class TestMonomialPoly:
     )
     @settings(max_examples=80, deadline=None)
     def test_mul_matches_eval(self, a, b, x):
-        pa, pb = MonomialPoly(tuple(a)), MonomialPoly(tuple(b))
-        assert (pa * pb)(x) == pa(x) * pb(x)
+        assert eval_poly(mul_poly(a, b), x) == eval_poly(a, x) * eval_poly(b, x)
 
 
 class TestSphereBasis:
     def test_x_squared(self):
-        basis = to_sphere_basis(3, MonomialPoly((0, 0, 1)))
+        basis = to_sphere_basis(3, (0, 0, 1))
         assert basis.coeffs == (3, 0, 1)
 
     def test_petersen_certificate_polynomial(self):
-        basis = to_sphere_basis(3, MonomialPoly.from_roots((1, -2, -2)))
+        basis = to_sphere_basis(3, from_roots((1, -2, -2)))
         assert basis.coeffs == (5, 5, 3, 1)
         assert basis(3) == 50
 
     def test_round_trip_exact(self):
-        p = MonomialPoly((Fraction(1, 2), -3, 0, 2, 1))
-        back = to_monomial(to_sphere_basis(4, p))
-        assert back.coeffs == p.coeffs
+        p = (Fraction(1, 2), -3, 0, 2, 1)
+        assert to_monomial(to_sphere_basis(4, p)) == p
 
     @given(st.integers(2, 6), st.lists(st.integers(-30, 30), min_size=1, max_size=13))
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, k, coeffs):
-        p = MonomialPoly(tuple(coeffs))
-        back = to_monomial(to_sphere_basis(k, p))
-        assert back.coeffs == p.coeffs
+        assert to_monomial(to_sphere_basis(k, coeffs)) == _strip(coeffs)
+
+    def test_rejects_past_max_degree(self):
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            to_sphere_basis(3, (0,) * 65 + (1,))
+        assert to_sphere_basis(3, (0,) * 64 + (1,) + (0,) * 5).degree == 64
 
     @given(
         st.integers(2, 7),
@@ -186,7 +199,7 @@ class TestSphereBasis:
         # Horner scheme, an int exactly when x and every coefficient are
         poly = SphereBasisPoly(k, tuple(coeffs))
         value = poly(x)
-        assert value == to_monomial(poly)(Fraction(x))
+        assert value == eval_poly(to_monomial(poly), Fraction(x))
         all_int = isinstance(x, int) and all(isinstance(c, int) for c in coeffs)
         assert type(value) is (int if all_int else Fraction)
 
@@ -207,7 +220,7 @@ class TestSphereBasis:
         # prod (x - a/q) expanded in monomials and converted
         scaled = sphere_basis_from_roots(k, nums, q)
         assert all(type(c) is int for c in scaled.coeffs)
-        expected = to_sphere_basis(k, MonomialPoly.from_roots([Fraction(a, q) for a in nums]))
+        expected = to_sphere_basis(k, from_roots([Fraction(a, q) for a in nums]))
         assert [Fraction(c, q ** len(nums)) for c in scaled.coeffs] == list(expected.coeffs)
 
     def test_product_petersen(self):
@@ -225,7 +238,7 @@ class TestSphereBasis:
             for i in range(0, 10):
                 mono = sphere_poly_monomial(k, i)
                 for x in (0, 1, -2, Fraction(7, 3)):
-                    assert mono(x) == sphere_poly(k, i, x)
+                    assert eval_poly(mono, x) == sphere_poly(k, i, x)
 
 
 class TestLinearization:
@@ -244,11 +257,12 @@ class TestLinearization:
             for i in range(0, 7):
                 for j in range(0, 7):
                     coeffs = linearize_product(k, i, j)
-                    lhs = sphere_poly_monomial(k, i) * sphere_poly_monomial(k, j)
-                    rhs = MonomialPoly((0,))
+                    lhs = mul_poly(sphere_poly_monomial(k, i), sphere_poly_monomial(k, j))
+                    rhs = [0] * (i + j + 1)
                     for l, c in enumerate(coeffs):
-                        rhs = rhs + sphere_poly_monomial(k, l) * MonomialPoly((c,))
-                    assert lhs.coeffs == rhs.coeffs
+                        for e, a in enumerate(sphere_poly_monomial(k, l)):
+                            rhs[e] += c * a
+                    assert lhs == tuple(rhs)
 
     def test_support_pattern(self):
         # p_l > 0 exactly when |i-j| <= l <= i+j and l = i+j (mod 2); the
@@ -292,53 +306,68 @@ class TestLinearization:
         assert lhs == rhs
 
 
+KS = (2, 3, 4, 5, 7, 20)
+
+
 class TestWeight:
+    # weight_quadrature integrates against w(x) = sqrt(4(k-1) - x^2) / (k^2 - x^2)
+
     def test_known_values(self):
-        assert tree_weight(3, 0) == pytest.approx(math.sqrt(8) / 9)
-        assert tree_weight(3, 1) == pytest.approx(math.sqrt(7) / 8)
-        assert tree_weight(3, 2 * math.sqrt(2)) == 0
+        # mass 2 pi / k, first moment 0, and second moment 2 pi, as S_2 = x^2 - k
+        # is orthogonal to S_0
+        for k in KS:
+            x, w = weight_quadrature(k)
+            assert len(x) == len(w) == QUADRATURE_NODES
+            assert float(np.sum(x * w)) == pytest.approx(0, abs=1e-12)
+            assert float(np.sum(x * x * w)) == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_outside_support(self):
-        with pytest.raises(ValueError):
-            tree_weight(3, 2.9)
-        with pytest.raises(ValueError):
-            tree_weight(3, -3.0)
+        # every node lies strictly inside the support, with a positive weight
+        for k in KS:
+            x, w = weight_quadrature(k)
+            assert np.all(np.abs(x) < 2 * math.sqrt(k - 1))
+            assert np.all(w > 0)
 
     def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            tree_weight(2, 2.0)
+        # at k = 2 the support's ends +-2 are poles of w; the nodes avoid them
+        # and w*dx is the Chebyshev weight pi/m
+        x, w = weight_quadrature(2)
+        assert np.all(np.abs(x) < 2)
+        np.testing.assert_allclose(w, math.pi / QUADRATURE_NODES, rtol=1e-13)
 
     def test_normalization(self):
         # total mass is 2 pi / k (Kesten-McKay with the k/(2 pi) factor removed)
-        for k in (3, 4, 5):
+        for k in KS:
             _, w = weight_quadrature(k)
-            assert w.sum() == pytest.approx(2 * math.pi / k, abs=1e-9)
+            assert w.sum() == pytest.approx(2 * math.pi / k, abs=1e-12)
 
     def test_orthogonality(self):
-        for k in (3, 4, 5):
+        for k in KS:
             x, w = weight_quadrature(k)
             vals = [sphere_poly(k, i, x) for i in range(9)]
             for i in range(9):
                 for j in range(9):
                     inner = float(np.sum(vals[i] * vals[j] * w))
                     if i != j:
+                        scale = math.sqrt(sphere_poly(k, i, k) * sphere_poly(k, j, k))
+                        assert abs(inner) <= 1e-12 * scale, (k, i, j, inner)
                         assert abs(inner) <= 1e-6, (k, i, j, inner)
                     else:
                         assert inner > 1e-3
 
     def test_norms(self):
         # <S_i, S_i> = (2 pi / k) * S_i(k) for the tree weight
-        for k in (3, 4):
+        for k in KS:
             x, w = weight_quadrature(k)
-            for i in range(7):
+            for i in range(9):
                 vals = sphere_poly(k, i, x)
                 inner = float(np.sum(vals * vals * w))
                 expected = 2 * math.pi / k * sphere_poly(k, i, k)
-                assert inner == pytest.approx(expected, rel=1e-8)
+                assert inner == pytest.approx(expected, rel=1e-12)
 
     def test_ball_orthogonality(self):
         # partial sums are orthogonal for the weight (k - x) w(x)
-        for k in (3, 4):
+        for k in (2, 3, 4):
             x, w = weight_quadrature(k)
             vals = [ball_poly(k, i, x) for i in range(7)]
             for i in range(7):

@@ -4,7 +4,6 @@ import pytest
 from expanderlp import (
     Graph,
     SizeCapError,
-    ball_poly,
     build,
     girth_bfs,
     girth_spectral,
@@ -12,9 +11,9 @@ from expanderlp import (
     parse_family,
     sphere_poly,
     sphere_poly_matrix,
-    spectral_gap,
     spectrum,
     sphere_poly_matrices,
+    sphere_sequence,
 )
 from oracles import walk_count_matrix
 
@@ -176,7 +175,7 @@ class TestHoffmanDecomposition:
             d = sp.d
             k = len(g.neighbors[0])
             data = hoffman_decomposition(g)
-            assert data.geodesic_count * (g.n - ball_poly(k, d - 1, k)) == sphere_poly(k, d, k)
+            assert data.geodesic_count * (g.n - sum(sphere_sequence(k, k, d - 1))) == sphere_poly(k, d, k)
 
     def test_girth_requirement(self):
         # prism: d = 3 distinct nontrivial eigenvalues but girth 3 < 6
@@ -188,12 +187,15 @@ class TestHoffmanDecomposition:
 
 
 class TestSpectralGap:
+    # k minus the second distinct eigenvalue, as `analyze` reports it
+
     def test_values(self):
-        assert spectral_gap(family("complete:4")) == pytest.approx(4.0, abs=1e-8)
-        assert spectral_gap(family("petersen")) == pytest.approx(2.0, abs=1e-8)
-        assert spectral_gap(family("hoffman_singleton")) == pytest.approx(5.0, abs=1e-8)
-        assert spectral_gap(family("cycle:4")) == pytest.approx(2.0, abs=1e-8)
+        cases = (("complete:4", 3, 4.0), ("petersen", 3, 2.0), ("hoffman_singleton", 7, 5.0), ("cycle:4", 2, 2.0))
+        for name, k, gap in cases:
+            assert k - spectrum(family(name)).entries[1][0] == pytest.approx(gap, abs=1e-8), name
 
     def test_requires_connected(self):
-        with pytest.raises(ValueError):
-            spectral_gap(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        # k's multiplicity counts the components, so a disconnected graph's
+        # gap is 0, not k minus the second distinct eigenvalue
+        assert spectrum(Graph.from_edges(4, [(0, 1), (2, 3)])).entries[0] == (1.0, 2)
+        assert spectrum(family("petersen")).entries[0] == (3.0, 1)

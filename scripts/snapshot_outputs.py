@@ -17,8 +17,9 @@ and `analyze` (JSON and text) on those families and a few extra graphs;
 Petersen and Hoffman-Singleton eigenvalue sets, a set with mixed
 denominators and a d = 8 set on denominator 1009, exact and float; and edge
 cases: a missing file, five malformed graph6 words, --degree 0, a zero
-denominator, a non-finite eigenvalue, float data past float64's range, exact
-results past it and a clustered float set.
+denominator, a non-finite eigenvalue, float data past float64's range (in
+the LP and in a certificate's bound), exact results past it and a clustered
+float set.
 """
 
 import contextlib
@@ -76,6 +77,10 @@ EDGE_CASES = {
     "bound-float-overflow-degree": [
         "bound", "--k", "1000000", "--eigenvalues=0.5", "--degree", "64", "--method", "lp",
     ],
+    # a subnormal tau: the certificate S_1 + |tau| has the bound 2/|tau|, past float64's range
+    "bound-float-overflow-certificate": [
+        "bound", "--k", "2", "--eigenvalues=-2.225073858507203e-309", "--method", "certificate",
+    ],
     # floats of eigenvalues 1e-12..1e-4 apart, at the float tableau's tolerances
     "bound-clustered-floats": [
         "bound", "--k", "5", "--eigenvalues=-0.0999999999218,-0.1000000000814,-0.099999971,-0.099825",
@@ -100,16 +105,19 @@ def run(argv: list) -> str:
 
 
 def extra_graphs() -> dict:
-    """Inputs outside the family names: prism, path, two triangles, random cubic.
+    """Inputs outside the family names: prism, path, two triangles, two
+    300-cycles, random cubic.
 
     The 512-vertex random cubic graph sits at the spectral cap and needs the
-    4-byte graph6 size field.
+    4-byte graph6 size field; the 600-vertex pair of cycles, disconnected,
+    lies past it.
     """
     triangle = [(0, 1), (1, 2), (0, 2)]
     return {
         "prism": Graph.from_edges(6, triangle + [(3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
         "path:5": Graph.from_edges(5, [(i, i + 1) for i in range(4)]),
         "two_triangles": Graph.from_edges(6, triangle + [(3, 4), (4, 5), (3, 5)]),
+        "two_cycles:300": Graph.from_edges(600, [(c + i, c + (i + 1) % 300) for c in (0, 300) for i in range(300)]),
     } | {
         f"random_cubic:{n},{seed}": random_regular_graph(n, 3, random.Random(seed))
         for n, seed in RANDOM_CUBIC

@@ -21,8 +21,6 @@ from .graphcore import (
     Graph,
     IntersectionArray,
     _level_sweep,
-    girth_bfs,
-    is_connected,
     regularity,
 )
 from .lpbound import (
@@ -101,13 +99,8 @@ class CertificationReport:
     def to_json_dict(self) -> dict:
         lp = None
         if self.certificate is not None:
-            cert = self.certificate
-            lp = {
-                "bound": None if cert.bound is None else float(cert.bound),
-                "f_coeffs": [float(c) for c in cert.poly.coeffs],
-                "conditions": cert.conditions.to_json_dict(),
-                "tight": None if self.attainment is None else self.attainment.tight,
-            }
+            tight = None if self.attainment is None else self.attainment.tight
+            lp = self.certificate.to_json_dict() | {"tight": tight}
         dr = None
         if self.intersection_array is not None:
             dr = {"b": list(self.intersection_array.b), "c": list(self.intersection_array.c)}
@@ -135,9 +128,9 @@ class CertificationReport:
         return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
 
-def _not_applicable(g: Graph, k: Optional[int], reason: str) -> CertificationReport:
+def _not_applicable(g: Graph, k: Optional[int], girth: Optional[int], reason: str) -> CertificationReport:
     return CertificationReport(
-        v=g.n, k=k, girth=girth_bfs(g), diam=None, spec=None,
+        v=g.n, k=k, girth=girth, diam=None, spec=None,
         moore=None, tutte=None, is_moore=None, moore_polygon_c=None,
         intersection_array=None, certificate=None, attainment=None,
         verdict=VERDICT_NOT_APPLICABLE, reason=reason,
@@ -151,19 +144,21 @@ def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationRepor
     girth condition or a certificate condition fails), not-applicable (graph
     is empty, irregular, disconnected, of degree < 2, or its certificate
     degree 2d - 1 exceeds MAX_DEGREE, past which no certificate is built).
+    Every nonempty graph is measured, so one past the spectral size cap is a
+    SizeCapError before the O(n^2) sweep.
     """
     if g.n == 0:
-        return _not_applicable(g, None, "empty graph")
+        return _not_applicable(g, None, None, "empty graph")
+    spec = spectrum(g, tol_cluster)
+    dist, girth, array = _level_sweep(g)
     k = regularity(g)
     if k is None:
-        return _not_applicable(g, None, "graph is not regular")
-    if not is_connected(g):
-        return _not_applicable(g, k, "graph is not connected")
+        return _not_applicable(g, None, girth, "graph is not regular")
+    if not (dist >= 0).all():
+        return _not_applicable(g, k, girth, "graph is not connected")
     if k < 2:
-        return _not_applicable(g, k, "degree below 2")
-    spec = spectrum(g, tol_cluster)
+        return _not_applicable(g, k, girth, "degree below 2")
     d = spec.d
-    dist, girth, array = _level_sweep(g)
     diam = int(dist.max())
     moore = moore_bound(k, d)
     tutte = tutte_bound(k, (girth - 1) // 2) if girth % 2 == 1 else None

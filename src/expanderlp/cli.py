@@ -20,7 +20,6 @@ from .graphcore import (
     Graph6Error,
     SizeCapError,
     _level_sweep,
-    is_connected,
     parse_graph6,
     regularity,
     write_graph6,
@@ -91,10 +90,10 @@ def _fmt_spectrum(entries) -> str:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     g = _read_graph(ns.path)
     k = regularity(g)
-    connected = is_connected(g)
     # the spectrum first: a graph past the size cap fails before the O(n^2) sweep
     spec = spectrum(g, ns.tol_cluster) if g.n else None
     dist, girth, array = _level_sweep(g)
+    connected = bool((dist >= 0).all())
     theory = k is not None and connected and k >= 2
     info: dict = {
         "v": g.n,
@@ -137,11 +136,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 def _bound_report(ns: argparse.Namespace, eigenvalues: tuple, cert, sol) -> dict:
     out: dict = {"k": ns.k, "eigenvalues": [float(t) for t in eigenvalues], "method": ns.method}
     if cert is not None:
-        out["certificate"] = {
-            "bound": None if cert.bound is None else float(cert.bound),
-            "f_coeffs": [float(c) for c in cert.poly.coeffs],
-            "conditions": cert.conditions.to_json_dict(),
-        }
+        out["certificate"] = cert.to_json_dict()
     if sol is not None:
         out["lp"] = {
             "status": sol.status,

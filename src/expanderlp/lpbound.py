@@ -140,6 +140,13 @@ class BoundCertificate:
     conditions: CertificateConditions
     bound: object
 
+    def to_json_dict(self) -> dict:
+        return {
+            "bound": None if self.bound is None else float(self.bound),
+            "f_coeffs": [float(c) for c in self.poly.coeffs],
+            "conditions": self.conditions.to_json_dict(),
+        }
+
 
 def check_certificate(k: int, eigenvalues: Sequence, poly: SphereBasisPoly) -> BoundCertificate:
     """Evaluate the four certificate conditions and the resulting bound.
@@ -148,8 +155,8 @@ def check_certificate(k: int, eigenvalues: Sequence, poly: SphereBasisPoly) -> B
     eigenvalues <= 0, coefficients >= 0), and only when some eigenvalue or
     coefficient is a float: exact data is compared against 0.  The strict
     positivity conditions are checked as given.  Invalid certificates are
-    reported, not raised; a float coefficient or value past float64's range,
-    whose comparisons would mean nothing, is a ValueError.
+    reported, not raised; a float coefficient, value or bound past float64's
+    range, whose comparisons would mean nothing, is a ValueError.
     """
     if poly.k != k:
         raise ValueError(f"certificate basis degree {poly.k} differs from k = {k}")
@@ -182,6 +189,8 @@ def check_certificate(k: int, eigenvalues: Sequence, poly: SphereBasisPoly) -> B
         bound = Fraction(value_at_k) / Fraction(f0)
     else:
         bound = value_at_k / f0
+        if not math.isfinite(bound):
+            raise ValueError(_PAST_FLOAT_RANGE)
     return BoundCertificate(k, poly, taus, value_at_k, f0, conditions, bound)
 
 
@@ -221,36 +230,22 @@ class LPSolution:
     variables: tuple
 
 
-def _standard_form(c: list, rows: list, conv) -> tuple[list, list, list, list]:
-    """Rows (coeffs, sense, rhs) on x >= 0 as A z = b, z >= 0, b >= 0.
+def _standard_form(c: list, rows: list, rhs: list, slack: int, conv) -> tuple[list, list, list, list]:
+    """The LP rows . x <= rhs (slack = 1) or >= rhs (slack = -1) as A z = b, z >= 0.
 
-    Rows with a negative rhs are negated first.  z is x followed by one slack
-    column per inequality, in row order: +1 in a "<=" row, -1 in a ">=" row.
-    Returns A, b, the cost of z (c, then zeros) and, per row, the column
-    that is a unit column of that row (its "<=" slack), or None.
+    x >= 0 and rhs >= 0.  z is x followed by one slack column per row, in
+    row order, holding slack in its row.  Returns A, b, the cost of z (c,
+    then zeros) and, per row, the column that is a unit column of that row:
+    its slack when slack = 1, otherwise None.
     """
-    norm = []
-    for coeffs, sense, rhs in rows:
-        coeffs = [conv(a) for a in coeffs]
-        rhs = conv(rhs)
-        if rhs < 0:
-            coeffs = [-a for a in coeffs]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        norm.append((coeffs, sense, rhs))
-    zero, one = conv(0), conv(1)
-    slacks = sum(sense != "==" for _, sense, _ in norm)
-    A, b, unit = [], [], []
-    col = len(c)
-    for coeffs, sense, rhs in norm:
-        row = coeffs + [zero] * slacks
-        if sense != "==":
-            row[col] = one if sense == "<=" else -one
-            col += 1
-        A.append(row)
-        b.append(rhs)
-        unit.append(col - 1 if sense == "<=" else None)
-    return A, b, [conv(a) for a in c] + [zero] * slacks, unit
+    m, zero = len(rows), conv(0)
+    A = []
+    for r, row in enumerate(rows):
+        slacks = [zero] * m
+        slacks[r] = conv(slack)
+        A.append([conv(a) for a in row] + slacks)
+    unit = [len(c) + r for r in range(m)] if slack > 0 else [None] * m
+    return A, [conv(v) for v in rhs], [conv(a) for a in c] + [zero] * m, unit
 
 
 def _bland(A: list, b: list, cost: list, unit: list, exact: bool) -> tuple[str, list, list]:
@@ -442,8 +437,8 @@ def _verified_float_solve(A: list, b: list, cost: list, unit: list) -> Optional[
     return None if values is None else ("optimal", basis, values)
 
 
-def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
-    """Minimize c.x subject to rows of (coeffs, sense, rhs) with x >= 0.
+def _simplex(c: list, rows: list, rhs: list, slack: int, exact: bool) -> tuple[str, list, object]:
+    """Minimize c.x subject to rows . x <= rhs (slack = 1) or >= rhs (slack = -1), x >= 0.
 
     The data are converted to Fraction when exact and to float otherwise.
     Float data run the two-phase Bland tableau in float64.  Exact data (ints
@@ -458,11 +453,11 @@ def _simplex(c: list, rows: list, exact: bool) -> tuple[str, list, object]:
     (ValueError if one is past float64's range).
     """
     conv = Fraction if exact else float
-    A, b, cost, unit = _standard_form(c, rows, conv)
+    A, b, cost, unit = _standard_form(c, rows, rhs, slack, conv)
     solved = _verified_float_solve(A, b, cost, unit) if exact else None
     status, basis, values = solved or _bland(A, b, cost, unit, exact=exact)
     if status != "optimal" and not exact:
-        status, basis, values = _bland(*_standard_form(c, rows, Fraction), exact=True)
+        status, basis, values = _bland(*_standard_form(c, rows, rhs, slack, Fraction), exact=True)
         try:
             values = [float(v) for v in values]
         except OverflowError:
@@ -488,7 +483,8 @@ def _exact_sphere_values(k: int, t, u: int) -> list:
 
 def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: int) -> tuple:
     """What both LPs share: u (default 2d - 1), whether the data are exact,
-    and S_1(tau)..S_u(tau) for each prescribed eigenvalue tau, largest first.
+    the ints S_1(k)..S_u(k), and S_1(tau)..S_u(tau) for each prescribed
+    eigenvalue tau, largest first.
 
     Float data must stay in float64's range: S_u(k) and every S_j(tau)
     finite, or ValueError."""
@@ -500,7 +496,8 @@ def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: 
     if u > MAX_DEGREE:
         raise ValueError(f"{what} degree {u} exceeds maximum {MAX_DEGREE}")
     exact = all(_is_rational(t) for t in taus)
-    if not exact and list(sphere_sequence(k, k, u))[-1] > sys.float_info.max:
+    at_k = list(sphere_sequence(k, k, u))
+    if not exact and at_k[-1] > sys.float_info.max:
         raise ValueError(f"S_{u}({k}) exceeds float64's range")
     if exact:
         values = [_exact_sphere_values(k, t, u) for t in taus]
@@ -508,7 +505,7 @@ def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: 
         values = [list(sphere_sequence(k, float(t), u))[1:] for t in taus]
     if not exact and not all(math.isfinite(v) for vals in values for v in vals):
         raise ValueError(f"sphere values up to degree {u} at the eigenvalues exceed float64's range")
-    return u, exact, values
+    return u, exact, at_k[1:], values
 
 
 def lp_bound_dual(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> LPSolution:
@@ -518,10 +515,9 @@ def lp_bound_dual(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> LPS
     every prescribed eigenvalue, f_j >= 0.  Defaults to u = 2d - 1 where d is
     the number of prescribed eigenvalues.  Exact with rational data.
     """
-    u, exact, values = _lp_data(k, eigenvalues, u, "coefficient", 1)
-    c = [k * (k - 1) ** (j - 1) for j in range(1, u + 1)]
-    rows = [([-a for a in vals], ">=", 1) for vals in values]
-    status, x, objective = _simplex(c, rows, exact)
+    u, exact, at_k, values = _lp_data(k, eigenvalues, u, "coefficient", 1)
+    rows = [[-a for a in vals] for vals in values]
+    status, x, objective = _simplex(at_k, rows, [1] * len(rows), -1, exact)
     if status != "optimal":
         return LPSolution(status, None, ())
     return LPSolution("optimal", 1 + objective, tuple(x))
@@ -534,11 +530,11 @@ def lp_bound_primal(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> L
     j = 1..u, m_i >= 0.  u = 0 leaves no constraints and yields the one-vertex
     objective.  Exact with rational data.
     """
-    u, exact, cols = _lp_data(k, eigenvalues, u, "constraint", 0)
+    u, exact, at_k, cols = _lp_data(k, eigenvalues, u, "constraint", 0)
     if u == 0:
         return LPSolution("optimal", Fraction(1) if exact else 1.0, ())
-    rows = [([-col[j] for col in cols], "<=", k * (k - 1) ** j) for j in range(u)]
-    status, x, objective = _simplex([-1] * len(cols), rows, exact)
+    rows = [[-col[j] for col in cols] for j in range(u)]
+    status, x, objective = _simplex([-1] * len(cols), rows, at_k, 1, exact)
     if status != "optimal":
         return LPSolution(status, None, ())
     return LPSolution("optimal", 1 - objective, tuple(x))

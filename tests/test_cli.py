@@ -1,13 +1,15 @@
 import contextlib
+import importlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expanderlp import cli
+from expanderlp import Graph, cli, graphcore, write_graph6
 from expanderlp.cli import main
 
 
@@ -174,8 +176,11 @@ class TestBound:
             ["--k", "1000000", "--eigenvalues=0.5", "--degree", "64", "--method", "lp"],
             # a subnormal tau: f_1 >= 1/|tau| is past float64's range
             ["--k", "2", "--eigenvalues=-2.225073858507203e-309", "--method", "lp"],
+            # there f(k)/f_0 = 2/|tau| is the certificate's bound
+            ["--k", "2", "--eigenvalues=-2.225073858507203e-309", "--method", "certificate"],
+            ["--k", "2", "--eigenvalues=-2.225073858507203e-309", "--method", "certificate", "--json"],
         ],
-        ids=["eigenvalue", "degree", "lp-optimum"],
+        ids=["eigenvalue", "degree", "lp-optimum", "certificate-bound", "certificate-bound-json"],
     )
     def test_past_float_range_exit_1(self, capsys, argv):
         code, out, err = run(capsys, "bound", *argv)
@@ -293,8 +298,12 @@ class TestBoundContract:
         assert code in (0, 1, 4)
         if code == 1:
             assert out == "" and err.startswith("error: ")
+            # the program's own message, not the JSON encoder's
+            assert "JSON compliant" not in err
         elif as_json:
             json.loads(out)
+        if code == 0:
+            assert not re.search(r"\b(inf|nan)\b", out)
 
 
 class TestCertify:
@@ -322,6 +331,27 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", str(path))
         assert code == 0
         assert json.loads(out)["verdict"] == "not-applicable"
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(c + i, c + (i + 1) % 300) for c in (0, 300) for i in range(300)],
+            [(i, i + 1) for i in range(599)],
+        ],
+        ids=["two-300-cycles", "path-600"],
+    )
+    @pytest.mark.parametrize("argv", [[], ["--text"]], ids=["json", "text"])
+    def test_size_cap_before_sweep(self, capsys, tmp_path, monkeypatch, edges, argv):
+        # a disconnected or irregular graph past the cap is refused, as
+        # analyze refuses it, before the O(n^2) sweep measures its girth
+        path = tmp_path / "big.g6"
+        path.write_bytes(write_graph6(Graph.from_edges(600, edges)) + b"\n")
+        for module in (graphcore, importlib.import_module("expanderlp.certify")):
+            monkeypatch.setattr(module, "_level_sweep", lambda g: pytest.fail("sweep ran past the cap"))
+        code, out, err = run(capsys, "certify", *argv, str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: eigensolver capped at 512 vertices, got 600\n"
 
 
 class TestBadTolerance:

@@ -413,6 +413,22 @@ def cold(fn, *args):
         return fn(*args)
 
 
+def standard_form_of(fn, *args):
+    """The one standard form (A, b, cost, unit) that fn(*args) hands the verified solve."""
+    forms = []
+    verified = lpbound._verified_float_solve
+
+    def spy(*form):
+        forms.append(form)
+        return verified(*form)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpbound, "_verified_float_solve", spy)
+        fn(*args)
+    [form] = forms
+    return form
+
+
 @contextmanager
 def float_pass(answer=None):
     """Record every tableau run as its `exact` flag; answer(unit) replaces the float run's result."""
@@ -548,17 +564,7 @@ class TestVerifiedBasis:
         # proof gives the basic solution that Gauss-Jordan over Fraction
         # gives, feasible and of least cost among the basic feasible
         # solutions; a feasible basis of higher cost is always rejected
-        forms = []
-        verified = lpbound._verified_float_solve
-
-        def spy(A, b, cost, unit):
-            forms.append((A, b, cost))
-            return verified(A, b, cost, unit)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lpbound, "_verified_float_solve", spy)
-            fn(k, taus, u)
-        [(A, b, cost)] = forms
+        A, b, cost, _ = standard_form_of(fn, k, taus, u)
         vertices = {}
         for basis in combinations(range(len(cost)), len(A)):
             xb = solve_gauss_jordan([[row[j] for j in basis] for row in A], b)
@@ -622,32 +628,58 @@ class TestVerifiedBasis:
         assert sol.status == "optimal"
 
 
+@st.composite
+def standard_forms(draw):
+    """A z = b, b >= 0, on 3 columns plus, per row, a +1 slack (a unit column), a -1 surplus or none.
+
+    Returns A, b, the cost of z and, per row, its unit column or None, as
+    _bland takes them: a row without a unit column starts from an artificial.
+    """
+    m = draw(st.integers(1, 4))
+    entries = st.fractions(-5, 5, max_denominator=12)
+    slacks = draw(st.lists(st.sampled_from([1, -1, 0]), min_size=m, max_size=m))
+    extra = [r for r, s in enumerate(slacks) if s]
+    A = [draw(st.lists(entries, min_size=3, max_size=3)) + [Fraction(s if r == e else 0) for e in extra]
+         for r, s in enumerate(slacks)]
+    b = draw(st.lists(st.fractions(0, 5, max_denominator=12), min_size=m, max_size=m))
+    cost = draw(st.lists(entries, min_size=3 + len(extra), max_size=3 + len(extra)))
+    unit = [3 + extra.index(r) if s == 1 else None for r, s in enumerate(slacks)]
+    return A, b, cost, unit
+
+
 class TestColumnScaledProof:
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda m: st.tuples(
-                st.lists(st.fractions(-5, 5, max_denominator=12), min_size=3, max_size=3),
-                st.lists(
-                    st.tuples(
-                        st.lists(st.fractions(-5, 5, max_denominator=12), min_size=3, max_size=3),
-                        st.sampled_from(["<=", ">=", "=="]),
-                        st.fractions(-5, 5, max_denominator=12),
-                    ),
-                    min_size=m,
-                    max_size=m,
-                ),
-            )
-        )
-    )
+    @given(standard_forms())
     @settings(max_examples=80, deadline=None)
-    def test_proves_the_cold_optimum(self, lp):
-        # any LP with fractions in A, b and the cost: the cold tableau's
+    def test_proves_the_cold_optimum(self, form):
+        # any standard form with fractions in A, b and the cost, its rows
+        # starting from slacks, artificials or both: the cold tableau's
         # optimal basis is proven, with the cold tableau's values
-        c, rows = lp
-        A, b, cost, unit = lpbound._standard_form(c, rows, Fraction)
+        A, b, cost, unit = form
         status, basis, values = lpbound._bland(A, b, cost, unit, exact=True)
         assume(status == "optimal" and len(basis) == len(A))
         assert lpbound._proven_optimal(A, b, cost, basis) == values
+
+
+class TestStandardForm:
+    def test_dual_rows_take_surplus_columns(self):
+        # -sum_j f_j S_j(tau) >= 1: a -1 surplus per row, and every row starts from an artificial
+        k, taus, u = 3, (1, -2), 3
+        A, b, cost, unit = standard_form_of(lp_bound_dual, k, taus, u)
+        assert [row[:u] for row in A] == [[-sphere_poly(k, j, t) for j in range(1, u + 1)] for t in taus]
+        assert [row[u:] for row in A] == [[-1, 0], [0, -1]]
+        assert b == [1, 1]
+        assert cost == [3, 6, 12, 0, 0]
+        assert unit == [None, None]
+
+    def test_primal_rows_take_slack_columns(self):
+        # -sum_i m_i S_j(tau_i) <= S_j(k): a +1 slack per row, which starts the basis
+        k, taus, u = 3, (1, -2), 3
+        A, b, cost, unit = standard_form_of(lp_bound_primal, k, taus, u)
+        assert [row[:2] for row in A] == [[-sphere_poly(k, j, t) for t in taus] for j in range(1, u + 1)]
+        assert [row[2:] for row in A] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert b == [3, 6, 12]
+        assert cost == [-1, -1, 0, 0, 0]
+        assert unit == [2, 3, 4]
 
 
 class TestFloatVerdicts:
@@ -698,8 +730,13 @@ class TestFloatVerdicts:
             # the exact re-solve's optimum (f_1 or m_1 about 4.5e308) has no float
             (lp_bound_dual, (2, (-2.225073858507203e-309,))),
             (lp_bound_primal, (2, (-2.225073858507203e-309,))),
+            # there the certificate x - tau = S_1 + |tau| has the subnormal f_0 = |tau|, and f(k)/f_0 was inf
+            (certificate_from_spectrum, (2, (-2.225073858507203e-309,))),
         ],
-        ids=["dual", "primal", "dual-degree", "certificate", "check-nan-value", "dual-optimum", "primal-optimum"],
+        ids=[
+            "dual", "primal", "dual-degree", "certificate", "check-nan-value", "dual-optimum", "primal-optimum",
+            "certificate-bound",
+        ],
     )
     def test_data_past_float_range_rejected(self, fn, args):
         with pytest.raises(ValueError, match="float64's range"):

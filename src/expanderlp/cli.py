@@ -81,7 +81,7 @@ def _fmt_spectrum(entries) -> str:
     parts = []
     for e, m in entries:
         s = _fmt_eig(e)
-        if float(e) < 0:
+        if s.startswith("-"):
             s = f"({s})"
         parts.append(s if m == 1 else f"{s}^{m}")
     return ", ".join(parts)

@@ -65,9 +65,6 @@ class Graph:
             adj[v].add(u)
         return Graph(n, tuple(tuple(sorted(s)) for s in adj))
 
-    def degree(self, u: int) -> int:
-        return len(self.neighbors[u])
-
     def edge_count(self) -> int:
         return sum(len(s) for s in self.neighbors) // 2
 
@@ -214,9 +211,10 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
 
 def diameter(g: Graph) -> int:
-    if g.n == 0 or not is_connected(g):
+    dist = all_pairs_distances(g) if g.n else None
+    if dist is None or (dist < 0).any():
         raise ValueError("diameter requires a nonempty connected graph")
-    return int(all_pairs_distances(g).max())
+    return int(dist.max())
 
 
 @dataclass(frozen=True)
@@ -264,9 +262,10 @@ def is_distance_regular(g: Graph) -> Optional[IntersectionArray]:
     """
     if regularity(g) is None:
         raise ValueError("distance-regularity requires a regular graph")
-    if not is_connected(g):
+    dist, _, array = _level_sweep(g)
+    if (dist < 0).any():
         raise ValueError("distance-regularity requires a connected graph")
-    return _level_sweep(g)[2]
+    return array
 
 
 def _level_sweep(g: Graph) -> tuple[np.ndarray, Optional[int], Optional[IntersectionArray]]:

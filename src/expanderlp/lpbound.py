@@ -35,9 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .graphcore import Graph, is_connected, regularity
+from .graphcore import Graph, regularity
 from .orthopoly import (
     MAX_DEGREE,
     SphereBasisPoly,
@@ -45,7 +43,7 @@ from .orthopoly import (
     sphere_basis_from_roots,
     sphere_sequence,
 )
-from .spectral import Spectrum, spectrum, sphere_poly_matrices
+from .spectral import Spectrum, spectrum
 
 __all__ = [
     "ConditionReport",
@@ -547,56 +545,45 @@ class TightnessReport:
     applicable: bool
     reason: Optional[str]
     tight: bool
-    trace_products: tuple
     eigenvalue_residuals: tuple
-    v: Optional[int]
-    bound: object
-    order_matches: Optional[bool]
 
 
-def check_attainment(
-    g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] = None, girth: Optional[int] = None
-) -> TightnessReport:
-    """Check the equality conditions of the bound against a concrete graph.
+def check_attainment(g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] = None) -> TightnessReport:
+    """Check the equality case of the bound v <= f(k)/f_0 against a concrete graph.
 
-    The bound is attained iff f_i * trace(S_i(A)) = 0 for i = 1..deg f and
-    f vanishes at every eigenvalue of the graph other than k.  Both hold to
-    within ATTAINMENT_TOL, except that the trace products of an exact
-    certificate must be 0.  spec is the graph's measured spectrum; it is
-    computed with the default clustering tolerance when not given.  girth is
-    the graph's measured girth; when it exceeds deg f, every tr S_i(A) with
-    1 <= i <= deg f is 0, since a closed non-backtracking walk of length i
-    contains a cycle of length at most i, and no matrix is formed.  A degree
-    mismatch makes the certificate inapplicable, reported rather than raised.
+    On a connected k-regular graph, tr f(A) = sum_i f_i * tr S_i(A) equals
+    f(k) + sum_theta m(theta) * f(theta) over the nontrivial eigenvalues, and
+    tr S_0(A) = v.  Once f vanishes at every theta, the products
+    f_i * tr S_i(A), i >= 1, are each >= 0 and sum to f(k) - v * f_0, so they
+    all vanish iff f(k)/f_0 = v.  The bound is therefore attained iff every
+    residual f(theta) is within ATTAINMENT_TOL of 0 and the bound equals v:
+    exactly when it is rational, within ATTAINMENT_TOL otherwise.
+
+    spec is the graph's measured spectrum, computed with the default
+    clustering tolerance when not given, so a graph past the size cap is a
+    SizeCapError.  Connectivity is read from it: a regular graph is
+    connected iff k is a simple eigenvalue, and at the default tolerance
+    (at most 1e-8 * 511) the gap k - lambda_2 >= 4/(nD) >= 1.5e-5 of a
+    connected graph inside the cap (Mohar 1991) keeps the two apart.  An
+    irregular or disconnected graph, a degree mismatch or a certificate
+    whose conditions fail makes the certificate inapplicable, reported
+    rather than raised.
     """
     k = regularity(g)
     if k is None:
-        return TightnessReport(False, "graph is not regular", False, (), (), g.n, cert.bound, None)
+        return TightnessReport(False, "graph is not regular", False, ())
     if k != cert.k:
-        return TightnessReport(
-            False, f"certificate k = {cert.k} does not match graph k = {k}",
-            False, (), (), g.n, cert.bound, None,
-        )
-    if not is_connected(g):
-        return TightnessReport(False, "graph is not connected", False, (), (), g.n, cert.bound, None)
-    if not cert.conditions.all_ok():
-        return TightnessReport(False, "certificate conditions fail", False, (), (), g.n, cert.bound, None)
-    if girth is not None and girth > cert.poly.degree:
-        traces = [g.n] + [0] * cert.poly.degree
-    else:
-        traces = [int(np.trace(m)) for m in sphere_poly_matrices(g, cert.poly.degree)]
-    products = [c * tr for c, tr in zip(cert.poly.coeffs[1:], traces[1:])]
+        return TightnessReport(False, f"certificate k = {cert.k} does not match graph k = {k}", False, ())
     if spec is None:
         spec = spectrum(g)
+    if spec.entries[0][1] != 1:
+        return TightnessReport(False, "graph is not connected", False, ())
+    if not cert.conditions.all_ok():
+        return TightnessReport(False, "certificate conditions fail", False, ())
     residuals = tuple(cert.poly(t) for t in spec.nontrivial)
-    exact = all(_is_rational(c) for c in cert.poly.coeffs)
-    if exact:
-        traces_ok = all(p == 0 for p in products)
+    if _is_rational(cert.bound):
+        order_ok = cert.bound == g.n
     else:
-        traces_ok = all(abs(p) <= ATTAINMENT_TOL for p in products)
-    eigs_ok = all(abs(r) <= ATTAINMENT_TOL for r in residuals)
-    tight = traces_ok and eigs_ok
-    order_matches = None
-    if tight and cert.bound is not None:
-        order_matches = abs(float(cert.bound) - g.n) <= ATTAINMENT_TOL
-    return TightnessReport(True, None, tight, tuple(products), residuals, g.n, cert.bound, order_matches)
+        order_ok = abs(cert.bound - g.n) <= ATTAINMENT_TOL
+    tight = order_ok and all(abs(r) <= ATTAINMENT_TOL for r in residuals)
+    return TightnessReport(True, None, tight, residuals)

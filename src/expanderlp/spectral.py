@@ -159,10 +159,12 @@ class HoffmanData:
 def hoffman_decomposition(g: Graph) -> HoffmanData:
     """Extract the all-ones decomposition weight and its residual, exactly."""
     k = regularity(g)
-    if k is None or not is_connected(g) or k < 2:
+    dist = None
+    if k is not None and k >= 2:
+        d = spectrum(g).d
+        dist, girth, _ = _level_sweep(g)
+    if dist is None or (dist < 0).any():
         raise ValueError("decomposition requires a connected regular graph of degree >= 2")
-    d = spectrum(g).d
-    dist, girth, _ = _level_sweep(g)
     if girth is not None and girth < 2 * d:
         raise ValueError(f"girth {girth} below required 2d = {2 * d}")
     if int(dist.max()) != d:

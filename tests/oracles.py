@@ -51,6 +51,17 @@ def walk_count_matrix(g: Graph, length: int) -> np.ndarray:
     return out
 
 
+
+def trace_products(g: Graph, cert):
+    """f_i * tr S_i(A) for i = 1..deg f, lazily, each trace counted walk by walk.
+
+    tr S_i(A) is the number of closed non-backtracking walks of length i.
+    """
+    return (
+        c * int(np.trace(walk_count_matrix(g, i)))
+        for i, c in enumerate(cert.poly.coeffs[1:], start=1)
+    )
+
 def bfs_distances(g: Graph) -> np.ndarray:
     """Distance matrix by a plain BFS from each vertex; -1 marks unreachable pairs."""
     dist = np.full((g.n, g.n), -1, dtype=np.int64)

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +25,12 @@ from expanderlp import (
     moore_bound,
     moore_polygon_array,
     parse_family,
+    sphere_poly_matrices,
     tutte_bound,
     write_graph6,
 )
 from expanderlp.certify import catalog_row
+from expanderlp.lpbound import ATTAINMENT_TOL
 from expanderlp.cli import main
 from expanderlp.enumeration import random_regular_graph
 
@@ -386,47 +389,47 @@ class TestOneDistanceMatrix:
         assert distance_calls == [30]
 
 
-@pytest.fixture
-def matrix_passes(monkeypatch):
-    """Degrees of the sphere_poly_matrices passes that check_attainment starts."""
-    calls = []
-    lpbound = importlib.import_module("expanderlp.lpbound")
-    original = lpbound.sphere_poly_matrices
+def matrix_trace_products(g, cert):
+    """f_i * tr S_i(A), i = 1..deg f, from one sphere_poly_matrices pass.
 
-    def counted(g, upto):
-        calls.append(upto)
-        return original(g, upto)
-
-    monkeypatch.setattr(lpbound, "sphere_poly_matrices", counted)
-    return calls
+    oracles.trace_products enumerates the walks one by one, which takes
+    seconds at pg2:8; the matrices are checked against it in test_spectral.
+    """
+    mats = islice(sphere_poly_matrices(g, cert.poly.degree), 1, None)
+    return [c * int(np.trace(m)) for c, m in zip(cert.poly.coeffs[1:], mats)]
 
 
 class TestTracesFromGirth:
-    """certify hands check_attainment its girth; past deg f the traces are 0 without a matrix."""
+    """Attainment, read from the bound's equality case, agrees with the trace products.
+
+    Past deg f the girth makes every trace 0: a closed non-backtracking walk
+    of length i contains a cycle of length at most i.
+    """
 
     @pytest.mark.parametrize(
         "name", [str(s) for s in TABLE_SPECS] + ["pg2:7", "pg2:8", "cycle:18", "cycle:30"]
     )
-    def test_agrees_with_matrix_pass(self, name, matrix_passes):
+    def test_agrees_with_matrix_pass(self, name):
         g = family(name)
         report = certify(g)
-        assert matrix_passes == []
-        # products, residuals, tight and the rest of the report
         assert report.attainment == check_attainment(g, report.certificate, spec=report.spec)
+        products = matrix_trace_products(g, report.certificate)
+        residuals = report.attainment.eigenvalue_residuals
+        assert report.attainment.tight is all(
+            abs(x) <= ATTAINMENT_TOL for x in (*residuals, *products)
+        )
         if report.verdict == VERDICT_CERTIFIED:
-            # the standalone check did form the matrices, and found every trace 0
-            assert matrix_passes == [report.certificate.poly.degree]
-            assert len(report.attainment.trace_products) == report.certificate.poly.degree
+            assert report.girth > report.certificate.poly.degree
+            assert all(p == 0 for p in products)
 
-    def test_prism_takes_matrix_pass(self, matrix_passes):
+    def test_prism_takes_matrix_pass(self):
         prism = Graph.from_edges(
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
         )
         report = certify(prism)
         assert (report.girth, report.certificate.poly.degree) == (3, 5)
-        assert matrix_passes == [5]
         assert report.attainment.tight is False
-        assert report.attainment.trace_products[2] != 0
+        assert matrix_trace_products(prism, report.certificate)[2] != 0
 
 
 class TestCatalogRow:

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import random
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expanderlp import Graph, cli, graphcore, write_graph6
+from expanderlp import Graph, build, cli, graphcore, parse_family, write_graph6
 from expanderlp.cli import main
 
 
@@ -352,6 +353,29 @@ class TestCertify:
         assert code == 3
         assert out == ""
         assert err == "error: eigensolver capped at 512 vertices, got 600\n"
+
+
+class TestSpectrumLine:
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("complete_bipartite:3", "spectrum: 3, 0^4, (-3)"),
+            ("gq:2", "spectrum: 3, 2^9, 0^10, (-2)^9, (-3)"),
+        ],
+    )
+    def test_independent_of_labelling(self, capsys, tmp_path, name, line):
+        # the cluster mean of a zero eigenvalue can be -1e-17 or +1e-17, by
+        # labelling; it prints as 0, unbracketed, either way
+        g = build(parse_family(name))
+        path = tmp_path / "g.g6"
+        for seed in range(4):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            relabelled = Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+            path.write_bytes(write_graph6(relabelled) + b"\n")
+            code, out, _ = run(capsys, "certify", "--text", str(path))
+            assert code == 0
+            assert [x for x in out.splitlines() if x.startswith("spectrum:")] == [line]
 
 
 class TestBadTolerance:

@@ -2,7 +2,7 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from expanderlp import lpbound, orthopoly
 from expanderlp import (
+    Graph,
+    SizeCapError,
     SphereBasisPoly,
     build,
     certificate_from_spectrum,
@@ -24,7 +26,16 @@ from expanderlp import (
     spectrum,
     to_sphere_basis,
 )
-from oracles import eval_poly, from_roots, solve_gauss_jordan, sphere_poly_monomial, to_monomial
+from expanderlp.enumeration import random_connected_regular
+from expanderlp.lpbound import ATTAINMENT_TOL
+from oracles import (
+    eval_poly,
+    from_roots,
+    solve_gauss_jordan,
+    sphere_poly_monomial,
+    to_monomial,
+    trace_products,
+)
 
 
 def family(text):
@@ -322,15 +333,29 @@ class TestCertificateFromSpectrum:
 
     @given(float_eigenvalue_sets())
     @example((4, tuple(a / 1009 for a in (3267, 2611, 1617, 418, -826, -1950, -2814, -3331))))
+    @example((2, (-1.1125369292536007e-308,)))
     @settings(max_examples=60, deadline=None)
     def test_float_data_rounded_once(self, data):
         # each float coefficient is float() of the exact certificate of the
-        # same binary fractions, bit for bit
+        # same binary fractions, bit for bit; where those coefficients or the
+        # float bound f(k)/f_0 lie past float64's range, the data are refused
         k, taus = data
-        cert = certificate_from_spectrum(k, taus)
         exact = certificate_from_spectrum(k, [Fraction(t) for t in taus])
+        try:
+            rounded = SphereBasisPoly(k, tuple(float(c) for c in exact.poly.coeffs))
+        except OverflowError:
+            with pytest.raises(ValueError, match="float64's range"):
+                certificate_from_spectrum(k, taus)
+            return
+        try:
+            cert = certificate_from_spectrum(k, taus)
+        except ValueError as exc:
+            assert "float64's range" in str(exc)
+            with pytest.raises(ValueError, match="float64's range"):
+                check_certificate(k, taus, rounded)
+            return
         assert all(type(c) is float for c in cert.poly.coeffs)
-        assert [c.hex() for c in cert.poly.coeffs] == [float(c).hex() for c in exact.poly.coeffs]
+        assert [c.hex() for c in cert.poly.coeffs] == [c.hex() for c in rounded.coeffs]
 
     def test_mixed_data_run_in_float(self):
         # one float token makes every eigenvalue a float before any arithmetic:
@@ -352,9 +377,24 @@ class TestAttainment:
         rep = check_attainment(g, cert)
         assert rep.applicable
         assert rep.tight
-        assert rep.order_matches
-        assert rep.v == 10
-        assert all(t == 0 for t in rep.trace_products)
+        assert rep.eigenvalue_residuals == (0, 0)
+        assert cert.bound == g.n
+        assert all(p == 0 for p in trace_products(g, cert))
+
+    def test_two_petersens_not_connected(self):
+        # k = 3 is a double eigenvalue: the spectrum shows the two components
+        g = family("petersen")
+        twice = Graph.from_edges(20, [*g.edges(), *((u + 10, v + 10) for u, v in g.edges())])
+        cert = certificate_from_spectrum(3, (1, -2))
+        rep = check_attainment(twice, cert)
+        assert (rep.applicable, rep.reason, rep.tight) == (False, "graph is not connected", False)
+        assert certify(twice).reason == "graph is not connected"
+
+    def test_past_cap_is_size_cap_error(self):
+        # a regular graph whose degree matches is measured, and the eigensolver is capped
+        cycle = Graph.from_edges(600, [(i, (i + 1) % 600) for i in range(600)])
+        with pytest.raises(SizeCapError, match="capped at 512 vertices"):
+            check_attainment(cycle, certificate_from_spectrum(2, (0,)))
 
     def test_k_mismatch(self):
         g = family("cycle:6")
@@ -388,6 +428,36 @@ class TestAttainment:
         rep = check_attainment(g, cert)
         assert rep.applicable
         assert not rep.tight
+
+
+@st.composite
+def connected_regular_graphs(draw):
+    """Random connected k-regular graphs, 2 <= k <= 5, on at most 20 vertices."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k + 1, 20).filter(lambda n: n * k % 2 == 0))
+    return random_connected_regular(n, k, random.Random(draw(st.integers(0, 2**31 - 1))))
+
+
+@given(connected_regular_graphs())
+@settings(max_examples=40, deadline=None)
+def test_tight_is_the_trace_condition(g):
+    # tight iff f vanishes at every nontrivial eigenvalue and every
+    # f_i * tr S_i(A) is 0, the traces counted walk by walk
+    k = len(g.neighbors[0])
+    nontrivial = spectrum(g).nontrivial
+    certs = [certificate_from_spectrum(k, nontrivial)]
+    if all(abs(t - round(t)) < 1e-9 for t in nontrivial):
+        certs.append(certificate_from_spectrum(k, [round(t) for t in nontrivial]))
+    certs += [certificate_from_spectrum(k, taus) for taus in ((1, -2), (0, -3))]
+    for cert in certs:
+        rep = check_attainment(g, cert)
+        if not cert.conditions.all_ok():
+            assert (rep.applicable, rep.reason, rep.tight) == (False, "certificate conditions fail", False)
+            continue
+        assert rep.applicable
+        # all() stops at the first failure, before the longer walks are counted
+        terms = chain(rep.eigenvalue_residuals, trace_products(g, cert))
+        assert rep.tight is all(abs(x) <= ATTAINMENT_TOL for x in terms)
 
 
 @given(

@@ -12,13 +12,14 @@ the scan solves one eigenproblem per spectrum, not per graph.  Each graph's
 key is its closed-walk counts tr A^j for j = 3..10, exact integers.  By
 Newton's identities the power sums tr A^j, j = 1..n, fix the characteristic
 polynomial of an n x n matrix, and every cubic graph on 10 vertices has
-tr A = 0 and tr A^2 = 30, so two graphs with one key have one spectrum.  A
-block's distinct keys are found by np.unique; the first graph of each key
-not seen before is solved by one batched eigvalsh, and every graph reads its
-lambda_2 from the key.  Relabelled graphs thus share one float lambda_2, and
-the winner is the first graph, in enumeration order, with the least
-lambda_2.  A heartbeat is printed at the first block boundary at or past
-each multiple of N graphs.
+tr A = 0 and tr A^2 = 30, so two graphs with one key have one spectrum.  The
+keys are computed on a float32 adjacency stack, where they are exact (see
+walk_keys).  A block's distinct keys are found by np.unique; the first
+graph of each key not seen before is solved by one batched eigvalsh on a
+float64 copy of its matrix, and every graph reads its lambda_2 from the
+key.  Relabelled graphs thus share one float lambda_2, and the winner is the
+first graph, in enumeration order, with the least lambda_2.  A heartbeat is
+printed at the first block boundary at or past each multiple of N graphs.
 """
 
 import argparse
@@ -34,12 +35,14 @@ N = 10
 
 
 def walk_keys(adjacency: np.ndarray) -> np.ndarray:
-    """tr A^j for j = 3..10 of each matrix in a (B, n, n) float64 stack, as int64.
+    """tr A^j for j = 3..10 of each matrix in a (B, n, n) float stack, as int64.
 
     tr A^(a+b) is the sum of the entries of A^a * A^b, since the powers are
-    symmetric.  For a cubic graph on at most 10 vertices every entry of A^5
-    is at most 3^5 and every trace at most 10 * 3^10, so the float64 sums
-    are exact.
+    symmetric.  For a cubic graph on at most 10 vertices every entry of A^j,
+    j <= 5, is at most 3^5, and every trace at most 10 * 3^10 = 590490 <
+    2^24.  Each product and partial sum is a nonnegative integer no larger
+    than the entry or trace it adds up to, so even a float32 stack, whose
+    integers are exact below 2^24, gives exact keys.
     """
     def trace(x, y):
         return np.einsum("bij,bij->b", x, y)
@@ -70,14 +73,14 @@ def main() -> int:
     best_adjacency = None
     count = 0
     for block in connected_cubic_masks(N):
-        adjacency = ((block[:, :, None] >> bits) & 1).astype(np.float64)
+        adjacency = ((block[:, :, None] >> bits) & 1).astype(np.float32)
         walks = walk_keys(adjacency)
         rows = walks.view(np.dtype((np.void, walks.shape[1] * walks.itemsize))).ravel()
         keys, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         keys = [key.tobytes() for key in keys]
         new = [i for i, key in enumerate(keys) if key not in lambda2]
         if new:
-            solved = np.linalg.eigvalsh(adjacency[first[new]])[:, -2]
+            solved = np.linalg.eigvalsh(adjacency[first[new]].astype(np.float64))[:, -2]
             lambda2.update(zip((keys[i] for i in new), solved))
         second = np.array([lambda2[key] for key in keys])[inverse]
         i = int(np.argmin(second))

@@ -5,17 +5,24 @@ numpy, over rows of neighbour bitmasks.  Each round gives every open graph
 one more edge, from u, its first vertex of degree below 3, to some w above
 u and above every neighbour of u.  So the edges a leaf received form a
 sequence, and the children of a state differ only in its next element: each
-leaf is reached by exactly one sequence, and listing the children of each
-state in increasing w, parent by parent, lists every level in lexicographic
-order of those sequences.  That is the order of a depth-first search that
-tries w in increasing order.  Every leaf sits at the same depth, 3n/2 - 3
-edges after the three at vertex 0, so the leaves come out in depth-first
-order whichever way the levels are walked.
+leaf is reached by exactly one sequence, and listing the children of a run
+of states parent by parent, each parent's in increasing w, keeps them in
+lexicographic order of those sequences.  That is the order of a depth-first
+search that tries w in increasing order.
+
+Pending states wait in one first-in first-out queue per depth.  A round
+takes rows from the front of one queue and appends their children to the
+end of the next depth's queue, and the leaves leave the front of the last
+queue.  That keeps one invariant: every row pending at a deeper level comes
+before every row pending at a shallower level in depth-first leaf order,
+and each queue is in that order.  So the leaves come out in depth-first
+order whichever queue each round takes from.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Iterator
 
 import numpy as np
@@ -42,9 +49,11 @@ MAX_PAIRINGS = 50_000
 # this budget fails with probability about e^-116.
 MAX_DRAWS = 1000
 
-# Most rows held in one block of connected_cubic_masks.  Whole levels of the
-# search do not fit: at n = 10 one level holds 310845 states.
-BLOCK_ROWS = 512
+# Rows taken per round of connected_cubic_masks and rows per block it
+# yields.  It caps the peak memory of the cubic-10 scan, whose largest array
+# is a block's float32 stack of 10 x 10 adjacency matrices and their powers:
+# 1024 rows take 400 KB per power.
+BLOCK_ROWS = 1024
 
 
 def random_regular_graph(n: int, k: int, rng: random.Random) -> Graph:
@@ -99,20 +108,38 @@ def _connected(masks: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def _take(queue: deque, rows: int) -> tuple[np.ndarray, ...]:
+    """The first rows rows, or all, of a queue of chunks of row-aligned arrays."""
+    taken = []
+    while queue and rows:
+        chunk = queue.popleft()
+        if len(chunk[0]) > rows:
+            queue.appendleft(tuple(a[rows:] for a in chunk))
+            chunk = tuple(a[:rows] for a in chunk)
+        taken.append(chunk)
+        rows -= len(chunk[0])
+    if len(taken) == 1:
+        return taken[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*taken))
+
+
 def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
     """The graphs of connected_cubic_graphs(n), in its order, as mask blocks.
 
-    Yields uint16 arrays of shape (B, n), 1 <= B <= BLOCK_ROWS, whose row
-    holds one graph: bit w of entry u is set when u and w are adjacent.
+    Yields uint16 arrays of shape (B, n) whose row holds one graph: bit w of
+    entry u is set when u and w are adjacent.  Every block has B = BLOCK_ROWS
+    rows but the last, which has 1 to BLOCK_ROWS.
 
-    The search keeps a stack of blocks of states at one depth each.  A block
-    above the leaves is expanded by one round: u is the first unsaturated
-    vertex of each row, and np.nonzero over the (rows, n) candidate matrix
-    lists the children parent by parent, each parent's in increasing w, so
-    the next level keeps the depth-first order (see the module docstring).
-    The children are cut into pieces of at most BLOCK_ROWS rows, pushed in
-    reverse so that the first piece is popped first.  A block of leaves is
-    filtered for connectivity and yielded.
+    The search keeps one queue of (masks, deg) rows per depth (see the
+    module docstring).  Each round expands up to BLOCK_ROWS rows from the
+    front of the deepest queue that holds at least BLOCK_ROWS rows, or else
+    of the shallowest non-empty one: u is the first unsaturated vertex of
+    each row, and np.nonzero over the (rows, n) candidate matrix lists the
+    children parent by parent, each parent's in increasing w.  They go to
+    the end of the next queue; at the leaf depth only the connected ones do,
+    and the leaf queue is yielded whenever it holds a full block.  Before a
+    round, the queue it appends to holds under BLOCK_ROWS rows, so no queue
+    outgrows BLOCK_ROWS rows times one plus the fan-out.
     """
     _check_cubic_order(n)
     masks = np.zeros((1, n), dtype=np.uint16)
@@ -123,14 +150,15 @@ def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
     deg[0, 1:4] = 1
     leaf_depth = 3 * n // 2 - 3
     vertices = np.arange(n, dtype=np.uint16)
-    stack = [(masks, deg, 0)]
-    while stack:
-        masks, deg, depth = stack.pop()
-        if depth == leaf_depth:
-            masks = masks[_connected(masks)]
-            if len(masks):
-                yield masks
-            continue
+    queues = [deque() for _ in range(leaf_depth + 1)]
+    sizes = [0] * (leaf_depth + 1)
+    queues[0].append((masks, deg))
+    sizes[0] = 1
+    while any(sizes[:leaf_depth]):
+        full = [d for d in range(leaf_depth) if sizes[d] >= BLOCK_ROWS]
+        depth = full[-1] if full else next(d for d in range(leaf_depth) if sizes[d])
+        masks, deg = _take(queues[depth], BLOCK_ROWS)
+        sizes[depth] -= len(masks)
         open_ = deg < 3
         u = open_.argmax(axis=1)
         rows = np.arange(len(masks))
@@ -147,9 +175,18 @@ def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
         masks[rows, w] |= (1 << u).astype(np.uint16)
         deg[rows, u] += 1
         deg[rows, w] += 1
-        for start in reversed(range(0, len(rows), BLOCK_ROWS)):
-            piece = slice(start, start + BLOCK_ROWS)
-            stack.append((masks[piece], deg[piece], depth + 1))
+        depth += 1
+        chunk = (masks, deg)
+        if depth == leaf_depth:
+            chunk = (masks[_connected(masks)],)
+        if len(chunk[0]):
+            queues[depth].append(chunk)
+            sizes[depth] += len(chunk[0])
+        while sizes[leaf_depth] >= BLOCK_ROWS:
+            sizes[leaf_depth] -= BLOCK_ROWS
+            yield _take(queues[leaf_depth], BLOCK_ROWS)[0]
+    if sizes[leaf_depth]:
+        yield _take(queues[leaf_depth], BLOCK_ROWS)[0]
 
 
 def connected_cubic_graphs(n: int) -> Iterator[Graph]:

@@ -132,10 +132,16 @@ class TestExhaustiveCubic:
         monkeypatch.setattr(enumeration, "BLOCK_ROWS", rows)
         blocks = list(connected_cubic_masks(8))
         assert all(b.dtype == np.uint16 and b.ndim == 2 and b.shape[1] == 8 for b in blocks)
-        assert all(1 <= len(b) <= rows for b in blocks)
+        assert all(len(b) == rows for b in blocks[:-1])
+        assert 1 <= len(blocks[-1]) <= rows
         decoded = [
             Graph(8, tuple(tuple(v for v in range(8) if m >> v & 1) for m in row))
             for b in blocks
             for row in b.tolist()
         ]
         assert decoded == list(cubic_graphs_dfs(8))
+
+    def test_n10_blocks_are_full(self):
+        sizes = [len(b) for b in connected_cubic_masks(10)]
+        assert sum(sizes) == 132930
+        assert len(sizes) == -(-132930 // enumeration.BLOCK_ROWS)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expanderlp import FamilySpec, build
 from expanderlp.enumeration import BLOCK_ROWS, connected_cubic_masks
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -23,9 +24,16 @@ def run_scan(monkeypatch, capsys, progress: int) -> list[str]:
 
 
 def adjacency(masks: np.ndarray) -> np.ndarray:
-    """A (B, n) block of neighbour masks as a (B, n, n) float64 stack."""
+    """A (B, n) block of neighbour masks as the scan's (B, n, n) float32 stack."""
     bits = np.arange(masks.shape[1], dtype=np.uint16)
-    return ((masks[:, :, None] >> bits) & 1).astype(np.float64)
+    return ((masks[:, :, None] >> bits) & 1).astype(np.float32)
+
+
+def exact_walk_keys(stack: np.ndarray) -> np.ndarray:
+    """tr A^j for j = 3..10 by int64 matrix powers."""
+    exact = stack.astype(np.int64)
+    traces = [np.trace(np.linalg.matrix_power(exact, j), axis1=1, axis2=2) for j in range(3, 11)]
+    return np.stack(traces, axis=1)
 
 
 walk_keys = runpy.run_path(str(SCAN))["walk_keys"]
@@ -35,13 +43,11 @@ walk_keys = runpy.run_path(str(SCAN))["walk_keys"]
 def test_walk_keys_fix_the_spectrum(n, spectra):
     stack = np.concatenate([adjacency(masks) for masks in connected_cubic_masks(n)])
     keys = walk_keys(stack)
-    exact = stack.astype(np.int64)
-    traces = [np.trace(np.linalg.matrix_power(exact, j), axis1=1, axis2=2) for j in range(3, 11)]
     assert keys.dtype == np.int64
-    assert np.array_equal(keys, np.stack(traces, axis=1))
+    assert np.array_equal(keys, exact_walk_keys(stack))
     distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
     assert len(distinct) == spectra
-    eigenvalues = np.linalg.eigvalsh(stack)
+    eigenvalues = np.linalg.eigvalsh(stack.astype(np.float64))
     for key in range(len(distinct)):
         mates = eigenvalues[inverse.ravel() == key]
         assert np.abs(mates - mates[0]).max() <= 1e-12
@@ -56,11 +62,25 @@ def test_walk_keys_ignore_labels():
         assert np.array_equal(walk_keys(stack[:, perm][:, :, perm]), keys)
 
 
+def test_walk_keys_exact_in_float32_at_n10():
+    # Every closed-walk count of a cubic graph on 10 vertices stays below
+    # 2^24, where float32 still holds every integer.
+    assert 10 * 3**10 < 2**24
+    blocks = connected_cubic_masks(10)
+    petersen = build(FamilySpec("petersen")).neighbors
+    petersen = np.array([[sum(1 << w for w in ws) for ws in petersen]], dtype=np.uint16)
+    for masks in (next(blocks), next(blocks), petersen):
+        stack = adjacency(masks)
+        assert stack.dtype == np.float32
+        assert np.array_equal(walk_keys(stack), exact_walk_keys(stack))
+
+
 def test_scan_cubic10_finds_certified_petersen(monkeypatch, capsys):
     eigvalsh = np.linalg.eigvalsh
     solved = []
 
     def counted(a):
+        assert a.dtype == np.float64
         solved.append(a.size // a.shape[-1] ** 2)
         return eigvalsh(a)
 

@@ -18,8 +18,9 @@ Petersen and Hoffman-Singleton eigenvalue sets, a set with mixed
 denominators and a d = 8 set on denominator 1009, exact and float; and edge
 cases: a missing file, five malformed graph6 words, --degree 0, a zero
 denominator, a non-finite eigenvalue, float data past float64's range (in
-the LP and in a certificate's bound), exact results past it and a clustered
-float set.
+the LP and in a certificate's bound), exact results past it, a clustered
+float set, a family past the graph6 writer's cap, and `certify` and
+`analyze` with a negative clustering tolerance.
 """
 
 import contextlib
@@ -86,6 +87,8 @@ EDGE_CASES = {
         "bound", "--k", "5", "--eigenvalues=-0.0999999999218,-0.1000000000814,-0.099999971,-0.099825",
         "--degree", "7", "--json",
     ],
+    # C(26, 13) = 10400600 vertices, past the writer's cap
+    "generate-past-write-cap": ["generate", "kneser:26,13"],
 }
 
 
@@ -168,6 +171,8 @@ def main() -> int:
             write(f"bound-text-{method}-{name}", argv + ["--method", method])
     for name, argv in EDGE_CASES.items():
         write(name, argv)
+    for command in ("certify", "analyze"):
+        write(f"{command}-negative-tol-cluster", [command, "--tol-cluster", "-1", str(graphs / "petersen.g6")])
     print(f"wrote {len(list(outdir.glob('*.txt')))} outputs to {outdir}")
     return 0
 

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from . import families
 from .certify import catalog_row, certify as run_certify
 from .graphcore import (
+    GRAPH6_WRITE_CAP,
     Graph,
     Graph6Error,
     SizeCapError,
@@ -201,6 +202,10 @@ def cmd_certify(ns: argparse.Namespace) -> int:
 
 def cmd_generate(ns: argparse.Namespace) -> int:
     spec = families.parse_family(ns.family)
+    # the writer's cap, checked before a build whose graph the writer would reject
+    n = families._order(spec)
+    if n > GRAPH6_WRITE_CAP:
+        raise SizeCapError(f"graph6 writer capped at {GRAPH6_WRITE_CAP} vertices, {spec} has {n}")
     g = families.build(spec)
     sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
     return EXIT_OK

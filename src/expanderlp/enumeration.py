@@ -10,19 +10,15 @@ of states parent by parent, each parent's in increasing w, keeps them in
 lexicographic order of those sequences.  That is the order of a depth-first
 search that tries w in increasing order.
 
-Pending states wait in one first-in first-out queue per depth.  A round
-takes rows from the front of one queue and appends their children to the
-end of the next depth's queue, and the leaves leave the front of the last
-queue.  That keeps one invariant: every row pending at a deeper level comes
-before every row pending at a shallower level in depth-first leaf order,
-and each queue is in that order.  So the leaves come out in depth-first
-order whichever queue each round takes from.
+The search is that depth-first recursion, taken over chunks of rows rather
+than single states: a chunk's children are cut, in order, into chunks of
+the next depth, and each chunk's subtree is finished before the next chunk
+starts.  So the leaves come out in depth-first order.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Iterator
 
 import numpy as np
@@ -49,8 +45,9 @@ MAX_PAIRINGS = 50_000
 # this budget fails with probability about e^-116.
 MAX_DRAWS = 1000
 
-# Rows taken per round of connected_cubic_masks and rows per block it
-# yields.  It caps the peak memory of the cubic-10 scan, whose largest array
+# Rows per block that connected_cubic_masks yields; every chunk it expands
+# has BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows, or all of a shorter run of
+# children.  It caps the peak memory of the cubic-10 scan, whose largest array
 # is a block's float32 stack of 10 x 10 adjacency matrices and their powers:
 # 1024 rows take 400 KB per power.
 BLOCK_ROWS = 1024
@@ -108,19 +105,26 @@ def _connected(masks: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _take(queue: deque, rows: int) -> tuple[np.ndarray, ...]:
-    """The first rows rows, or all, of a queue of chunks of row-aligned arrays."""
-    taken = []
-    while queue and rows:
-        chunk = queue.popleft()
-        if len(chunk[0]) > rows:
-            queue.appendleft(tuple(a[rows:] for a in chunk))
-            chunk = tuple(a[:rows] for a in chunk)
-        taken.append(chunk)
-        rows -= len(chunk[0])
-    if len(taken) == 1:
-        return taken[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*taken))
+def _children(masks: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every child of the (masks, deg) rows, parent by parent, each parent's in increasing w.
+
+    u is the first unsaturated vertex of each row, and np.nonzero over the
+    (rows, n) candidate matrix lists the (parent, w) pairs in that order.
+    """
+    vertices = np.arange(masks.shape[1], dtype=np.uint16)
+    open_ = deg < 3
+    u = open_.argmax(axis=1)
+    rows = np.arange(len(masks))
+    candidates = open_ & (vertices > u[:, None]) & (masks[rows, u][:, None] >> vertices == 0)
+    parent, w = np.nonzero(candidates)
+    u = u[parent]
+    masks, deg = masks[parent], deg[parent]
+    rows = np.arange(len(parent))
+    masks[rows, u] |= (1 << w).astype(np.uint16)
+    masks[rows, w] |= (1 << u).astype(np.uint16)
+    deg[rows, u] += 1
+    deg[rows, w] += 1
+    return masks, deg
 
 
 def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
@@ -130,16 +134,11 @@ def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
     entry u is set when u and w are adjacent.  Every block has B = BLOCK_ROWS
     rows but the last, which has 1 to BLOCK_ROWS.
 
-    The search keeps one queue of (masks, deg) rows per depth (see the
-    module docstring).  Each round expands up to BLOCK_ROWS rows from the
-    front of the deepest queue that holds at least BLOCK_ROWS rows, or else
-    of the shallowest non-empty one: u is the first unsaturated vertex of
-    each row, and np.nonzero over the (rows, n) candidate matrix lists the
-    children parent by parent, each parent's in increasing w.  They go to
-    the end of the next queue; at the leaf depth only the connected ones do,
-    and the leaf queue is yielded whenever it holds a full block.  Before a
-    round, the queue it appends to holds under BLOCK_ROWS rows, so no queue
-    outgrows BLOCK_ROWS rows times one plus the fan-out.
+    grow expands one chunk of rows of one depth.  At the leaf depth it yields
+    the connected children; above it, it cuts the children, in order, into
+    chunks of BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows (or one shorter chunk)
+    and grows each to the leaves before the next.  The leaves are then
+    regrouped into blocks.
     """
     _check_cubic_order(n)
     masks = np.zeros((1, n), dtype=np.uint16)
@@ -149,44 +148,24 @@ def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
     deg[0, 0] = 3
     deg[0, 1:4] = 1
     leaf_depth = 3 * n // 2 - 3
-    vertices = np.arange(n, dtype=np.uint16)
-    queues = [deque() for _ in range(leaf_depth + 1)]
-    sizes = [0] * (leaf_depth + 1)
-    queues[0].append((masks, deg))
-    sizes[0] = 1
-    while any(sizes[:leaf_depth]):
-        full = [d for d in range(leaf_depth) if sizes[d] >= BLOCK_ROWS]
-        depth = full[-1] if full else next(d for d in range(leaf_depth) if sizes[d])
-        masks, deg = _take(queues[depth], BLOCK_ROWS)
-        sizes[depth] -= len(masks)
-        open_ = deg < 3
-        u = open_.argmax(axis=1)
-        rows = np.arange(len(masks))
-        candidates = (
-            open_
-            & (vertices > u[:, None])
-            & (masks[rows, u][:, None] >> vertices == 0)
-        )
-        parent, w = np.nonzero(candidates)
-        u = u[parent]
-        masks, deg = masks[parent], deg[parent]
-        rows = np.arange(len(parent))
-        masks[rows, u] |= (1 << w).astype(np.uint16)
-        masks[rows, w] |= (1 << u).astype(np.uint16)
-        deg[rows, u] += 1
-        deg[rows, w] += 1
-        depth += 1
-        chunk = (masks, deg)
-        if depth == leaf_depth:
-            chunk = (masks[_connected(masks)],)
-        if len(chunk[0]):
-            queues[depth].append(chunk)
-            sizes[depth] += len(chunk[0])
-        while sizes[leaf_depth] >= BLOCK_ROWS:
-            sizes[leaf_depth] -= BLOCK_ROWS
-            yield _take(queues[leaf_depth], BLOCK_ROWS)[0]
-    if sizes[leaf_depth]:
-        yield _take(queues[leaf_depth], BLOCK_ROWS)[0]
+
+    def grow(masks: np.ndarray, deg: np.ndarray, depth: int) -> Iterator[np.ndarray]:
+        masks, deg = _children(masks, deg)
+        if depth + 1 == leaf_depth:
+            yield masks[_connected(masks)]
+            return
+        parts = max(1, len(masks) // BLOCK_ROWS)
+        for chunk in zip(np.array_split(masks, parts), np.array_split(deg, parts)):
+            yield from grow(*chunk, depth + 1)
+
+    pending = masks[:0]
+    for leaves in grow(masks, deg, 0):
+        pending = np.concatenate([pending, leaves])
+        while len(pending) >= BLOCK_ROWS:
+            yield pending[:BLOCK_ROWS]
+            pending = pending[BLOCK_ROWS:]
+    if len(pending):
+        yield pending
 
 
 def connected_cubic_graphs(n: int) -> Iterator[Graph]:

@@ -255,6 +255,26 @@ def build(spec: FamilySpec) -> Graph:
     return _BUILDERS[spec.name](*spec.params)
 
 
+def _order(spec: FamilySpec) -> int:
+    """Vertex count of build(spec), in closed form, without building it.
+
+    Parameters that build rejects count as 0 where their formula could
+    exceed any size cap, so that build, not the cap, reports them.
+    """
+    name, params = spec.name, spec.params
+    if name == "kneser":
+        n, t = params
+        return math.comb(n, t) if 1 <= t and 2 * t <= n else 0
+    if name == "pg2":
+        (q,) = params
+        return 2 * (q * q + q + 1) if q in PG2_ORDERS else 0
+    if name == "complete_bipartite":
+        return 2 * params[0]
+    if name in ("cycle", "complete"):
+        return params[0]
+    return {"petersen": 10, "clebsch": 16, "hoffman_singleton": 50, "gq": 30}[name]
+
+
 def expected_profile(spec: FamilySpec) -> Profile:
     """Known (v, k, girth, spectrum) for the supported family members."""
     name, params = spec.name, spec.params

@@ -8,19 +8,12 @@ exact for the whole pass or Python-int products are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphcore import (
-    Graph,
-    SizeCapError,
-    _level_sweep,
-    is_connected,
-    regularity,
-)
+from .graphcore import Graph, SizeCapError, is_connected, regularity
 from .orthopoly import MAX_DEGREE, sphere_sequence
 
 __all__ = [
@@ -30,8 +23,6 @@ __all__ = [
     "sphere_poly_matrices",
     "sphere_poly_matrix",
     "girth_spectral",
-    "HoffmanData",
-    "hoffman_decomposition",
 ]
 
 SPECTRAL_SIZE_CAP = 512
@@ -68,7 +59,8 @@ def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
 
     Eigenvalues whose consecutive gaps are at most tol are merged into one
     entry whose value is the mean of the cluster.  Default tol is
-    1e-8 * max(1, max degree).  The top eigenvalue of a k-regular graph,
+    1e-8 * max(1, max degree); a negative or non-finite tol is ValueError.
+    The top eigenvalue of a k-regular graph,
     connected or not, is exactly k; a tol so wide that the top cluster no
     longer sits at k is bad input: ValueError.
     """
@@ -78,6 +70,8 @@ def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
         raise SizeCapError(f"eigensolver capped at {SPECTRAL_SIZE_CAP} vertices, got {g.n}")
     if tol is None:
         tol = 1e-8 * max(1, max(len(s) for s in g.neighbors))
+    elif not 0 <= tol < np.inf:
+        raise ValueError(f"cluster tolerance must be finite and nonnegative, got {tol}")
     eig = np.linalg.eigvalsh(g.adjacency_matrix(dtype=np.float64))[::-1]
     ends = (np.flatnonzero(eig[:-1] - eig[1:] > tol) + 1).tolist() + [len(eig)]
     entries = []
@@ -141,44 +135,3 @@ def girth_spectral(g: Graph) -> int:
             return i
     raise RuntimeError("no nonzero trace up to the girth bound")
 
-
-@dataclass(frozen=True)
-class HoffmanData:
-    """Weight for the top sphere matrix in the all-ones decomposition.
-
-    For a connected k-regular graph with d+1 distinct eigenvalues and girth
-    at least 2d, the matrices S_0(A) + ... + S_{d-1}(A) + S_d(A)/geodesic_count
-    sum to the all-ones matrix; geodesic_count is the common number of shortest
-    paths between vertices at distance d.
-    """
-
-    geodesic_count: int
-    residual: float
-
-
-def hoffman_decomposition(g: Graph) -> HoffmanData:
-    """Extract the all-ones decomposition weight and its residual, exactly."""
-    k = regularity(g)
-    dist = None
-    if k is not None and k >= 2:
-        d = spectrum(g).d
-        dist, girth, _ = _level_sweep(g)
-    if dist is None or (dist < 0).any():
-        raise ValueError("decomposition requires a connected regular graph of degree >= 2")
-    if girth is not None and girth < 2 * d:
-        raise ValueError(f"girth {girth} below required 2d = {2 * d}")
-    if int(dist.max()) != d:
-        raise ValueError(f"diameter {int(dist.max())} differs from d = {d}")
-    mats = list(sphere_poly_matrices(g, d))
-    far = dist == d
-    values = {int(x) for x in mats[d][far]}
-    if len(values) != 1:
-        raise ValueError(f"top sphere matrix non-constant on distance-d pairs: {sorted(values)}")
-    count = values.pop()
-    if count < 1:
-        raise ValueError(f"decomposition weight must be a positive integer, got {count}")
-    ball = sum(mats[:d])
-    # count * (J - ball) must equal S_d(A) entrywise; residual measured exactly.
-    gap = count * (1 - ball) - mats[d]
-    residual = Fraction(int(np.abs(gap).max()), count)
-    return HoffmanData(count, float(residual))

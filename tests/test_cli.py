@@ -37,6 +37,16 @@ class TestGenerate:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("family", ["kneser:26,13", "cycle:100000000", "complete_bipartite:100000"])
+    def test_past_write_cap_is_not_built(self, capsys, monkeypatch, family):
+        def unbuilt(spec):
+            raise AssertionError(f"{spec} was built")
+
+        monkeypatch.setattr(cli.families, "build", unbuilt)
+        code, out, err = run(capsys, "generate", family)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: graph6 writer capped at {graphcore.GRAPH6_WRITE_CAP} vertices")
+
 
 class TestAnalyze:
     def test_petersen_text(self, capsys, tmp_path):
@@ -379,7 +389,8 @@ class TestSpectrumLine:
 
 
 class TestBadTolerance:
-    # a clustering tolerance that merges the top eigenvalue away is bad input
+    # a clustering tolerance that is negative, not finite, or so wide that it
+    # merges the top eigenvalue away is bad input
     @pytest.mark.parametrize("argv", [("certify", "--tol-cluster", "1.3"),
                                       ("analyze", "--json", "--tol-cluster", "1.3")])
     def test_clean_error(self, capsys, tmp_path, argv):
@@ -390,6 +401,15 @@ class TestBadTolerance:
         assert out == ""
         assert err.startswith("error: eigensolver sanity check failed")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["certify", "analyze"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_out_of_range(self, capsys, tmp_path, command, tol):
+        path = tmp_path / "petersen.g6"
+        path.write_text(graph6_of(capsys, "petersen") + "\n")
+        code, out, err = run(capsys, command, "--tol-cluster", tol, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cluster tolerance must be finite and nonnegative")
 
 
 class TestTable2:

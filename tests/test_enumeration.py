@@ -1,3 +1,4 @@
+import hashlib
 import random
 import threading
 
@@ -145,3 +146,26 @@ class TestExhaustiveCubic:
         sizes = [len(b) for b in connected_cubic_masks(10)]
         assert sum(sizes) == 132930
         assert len(sizes) == -(-132930 // enumeration.BLOCK_ROWS)
+
+    @pytest.mark.parametrize("n, digest", [
+        (8, "4a1289c9c06982c190037a38e76633e18af74eba5e585841da1ec52be0ee6efc"),
+        (10, "b1f85d4be55e930ab62d70dbfbdece65ceb31f02becbf5dc1f0c02c52965ff0c"),
+    ])
+    def test_mask_order_pinned(self, n, digest):
+        # SHA-256 of the blocks, concatenated as little-endian uint16
+        sha = hashlib.sha256()
+        for block in connected_cubic_masks(n):
+            sha.update(block.astype("<u2").tobytes())
+        assert sha.hexdigest() == digest
+
+    def test_expanded_chunks_are_bounded(self, monkeypatch):
+        sizes = []
+        children = enumeration._children
+
+        def counted(masks, deg):
+            sizes.append(len(masks))
+            return children(masks, deg)
+
+        monkeypatch.setattr(enumeration, "_children", counted)
+        assert sum(len(b) for b in connected_cubic_masks(10)) == 132930
+        assert max(sizes) <= 2 * enumeration.BLOCK_ROWS - 1

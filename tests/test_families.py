@@ -13,6 +13,7 @@ from expanderlp import (
     spectrum,
     write_graph6,
 )
+from expanderlp import families
 from oracles import is_bipartite
 
 
@@ -75,6 +76,21 @@ class TestBuildValidation:
         assert g.n == 10
         assert regularity(g) == 3
         assert girth_bfs(g) == 5
+
+    @pytest.mark.parametrize("text", [str(spec) for spec in TABLE_SPECS] + [
+        "cycle:18", "complete:1", "complete:9", "complete_bipartite:1", "kneser:5,2", "kneser:9,4",
+        "pg2:5", "pg2:7", "pg2:8",
+    ])
+    def test_closed_form_order(self, text):
+        spec = parse_family(text)
+        assert families._order(spec) == build(spec).n
+
+    @pytest.mark.parametrize("text", ["kneser:30,20", "kneser:30,0", "pg2:1000"])
+    def test_closed_form_order_leaves_rejections_to_build(self, text):
+        spec = parse_family(text)
+        assert families._order(spec) == 0
+        with pytest.raises(UnsupportedFamilyError):
+            build(spec)
 
 
 class TestProfiles:

@@ -5,9 +5,10 @@ from expanderlp import (
     Graph,
     SizeCapError,
     build,
+    certify,
     girth_bfs,
     girth_spectral,
-    hoffman_decomposition,
+    is_distance_regular,
     parse_family,
     sphere_poly,
     sphere_poly_matrix,
@@ -70,6 +71,14 @@ class TestSpectrum:
         sp = spectrum(path, tol=2.0)
         assert len(sp.entries) == 1
         assert sp.entries[0][1] == 3
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="cluster tolerance must be finite and nonnegative"):
+            spectrum(family("petersen"), tol=tol)
+
+    def test_zero_tolerance_accepted(self):
+        assert sum(m for _, m in spectrum(family("petersen"), tol=0.0).entries) == 10
 
     def test_overclustering_regular_graph_caught(self):
         # merging the top eigenvalue away trips the sanity guard
@@ -146,6 +155,10 @@ class TestGirthSpectral:
 
 
 class TestHoffmanDecomposition:
+    # For a connected k-regular graph with d + 1 distinct eigenvalues and
+    # girth at least 2d, S_0(A) + ... + S_{d-1}(A) + S_d(A) / c_d is the
+    # all-ones matrix, where c_d is the last entry of the intersection array.
+
     def test_geodesic_counts(self):
         expected = {
             "cycle:5": 1,
@@ -163,27 +176,31 @@ class TestHoffmanDecomposition:
             "clebsch": 2,
         }
         for name, count in expected.items():
-            data = hoffman_decomposition(family(name))
-            assert data.geodesic_count == count, name
-            assert data.residual == 0.0, name
+            g = family(name)
+            array = is_distance_regular(g)
+            assert array.diameter == spectrum(g).d, name
+            assert array.c == (1,) * (array.diameter - 1) + (count,), name
+            if array.diameter >= 2:
+                assert certify(g).moore_polygon_c == count, name
 
     def test_count_consistency(self):
-        # v = B_{d-1}(k) + S_d(k) / e whenever the decomposition exists
+        # v = B_{d-1}(k) + S_d(k) / c_d
         for name in ("petersen", "pg2:2", "gq:2", "clebsch", "hoffman_singleton"):
             g = family(name)
-            sp = spectrum(g)
-            d = sp.d
+            d = spectrum(g).d
             k = len(g.neighbors[0])
-            data = hoffman_decomposition(g)
-            assert data.geodesic_count * (g.n - sum(sphere_sequence(k, k, d - 1))) == sphere_poly(k, d, k)
+            c_d = is_distance_regular(g).c[-1]
+            assert c_d * (g.n - sum(sphere_sequence(k, k, d - 1))) == sphere_poly(k, d, k)
 
     def test_girth_requirement(self):
-        # prism: d = 3 distinct nontrivial eigenvalues but girth 3 < 6
+        # prism: d = 3 distinct nontrivial eigenvalues but girth 3 < 6, and
+        # no intersection array to read c_d from
         prism = Graph.from_edges(
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
         )
-        with pytest.raises(ValueError):
-            hoffman_decomposition(prism)
+        assert spectrum(prism).d == 3
+        assert girth_bfs(prism) == 3
+        assert is_distance_regular(prism) is None
 
 
 class TestSpectralGap:

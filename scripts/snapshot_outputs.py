@@ -19,8 +19,9 @@ denominators and a d = 8 set on denominator 1009, exact and float; and edge
 cases: a missing file, five malformed graph6 words, --degree 0, a zero
 denominator, a non-finite eigenvalue, float data past float64's range (in
 the LP and in a certificate's bound), exact results past it, a clustered
-float set, a family past the graph6 writer's cap, and `certify` and
-`analyze` with a negative clustering tolerance.
+float set, a clustered exact set whose LP the Fraction tableau solves, the
+d = 16 set on denominator 1009, a family past the graph6 writer's cap, and
+`certify` and `analyze` with a negative clustering tolerance.
 """
 
 import contextlib
@@ -86,6 +87,20 @@ EDGE_CASES = {
     "bound-clustered-floats": [
         "bound", "--k", "5", "--eigenvalues=-0.0999999999218,-0.1000000000814,-0.099999971,-0.099825",
         "--degree", "7", "--json",
+    ],
+    # exact eigenvalues 1e-8..1e-12 apart: the proof rejects the float tableau's
+    # basis, and the Fraction tableau solves the dual LP
+    "bound-clustered-exact": [
+        "bound", "--k", "4",
+        "--eigenvalues=-650000101/250000000,-260000000000723/100000000000000,-3249999999903/1250000000000",
+        "--degree", "7", "--json",
+    ],
+    # zeros of B_16 at k = 4 on denominator 1009: the largest exact proof of the lp_sweep benchmark
+    "bound-json-ball16_1009-exact": [
+        "bound", "--k", "4",
+        "--eigenvalues=3433/1009,3249/1009,2949/1009,2545/1009,2051/1009,1484/1009,866/1009,218/1009,"
+        "-436/1009,-1072/1009,-1669/1009,-2206/1009,-2663/1009,-3,-3288/1009,-3444/1009",
+        "--json",
     ],
     # C(26, 13) = 10400600 vertices, past the writer's cap
     "generate-past-write-cap": ["generate", "kneser:26,13"],

@@ -207,7 +207,9 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     if n > GRAPH6_WRITE_CAP:
         raise SizeCapError(f"graph6 writer capped at {GRAPH6_WRITE_CAP} vertices, {spec} has {n}")
     g = families.build(spec)
-    sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
+    # two writes, so a word near the cap is not copied once more to append the newline
+    sys.stdout.write(write_graph6(g).decode("ascii"))
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

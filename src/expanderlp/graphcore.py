@@ -164,11 +164,17 @@ def write_graph6(g: Graph) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126] + [((n >> shift) & 63) + 63 for shift in (12, 6, 0)])
+    word = np.zeros(len(head) + (n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
+    word[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    body = word[len(head) :]
+    # bit p = j(j-1)/2 + i of the upper triangle, read column by column, is
+    # bit 5 - p % 6 of body byte p // 6; no array is as long as the bit string
     i, j = _arcs(g)
     up = i < j
-    bits = np.zeros(6 * ((n * (n - 1) // 2 + 5) // 6), dtype=np.uint8)
-    bits[j[up] * (j[up] - 1) // 2 + i[up]] = 1
-    return head + ((np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63).tobytes()
+    p = j[up] * (j[up] - 1) // 2 + i[up]
+    np.bitwise_or.at(body, p // 6, (32 >> p % 6).astype(np.uint8))
+    body += 63
+    return word.tobytes()
 
 
 def regularity(g: Graph) -> Optional[int]:

@@ -9,22 +9,26 @@ basis with
 Any connected k-regular graph whose adjacency eigenvalues other than k lie in
 the prescribed set has at most f(k)/f_0 vertices.  The optimal such bound is
 the optimum of a small linear program, solved here by a self-contained
-two-phase dense simplex with Bland's rule.  Float data are solved in
-float64.  Rational data are solved in float64 too, and the final basis is
-then proven optimal in exact arithmetic, as in Applegate, Cook, Dash and
-Espinoza (2007): B x_B = b and B^T y = c_B are solved by Bareiss's
-fraction-free elimination, and x_B >= 0 and every reduced cost >= 0 are
-checked on integers.  When that proof fails the Fraction simplex solves the
-LP from the start, so every exact verdict rests on exact arithmetic.
+two-phase dense simplex with Bland's rule on one numpy tableau.  Float data
+are solved in float64.  Rational data are solved in float64 too, and the
+final basis is then proven optimal in exact arithmetic, as in Applegate,
+Cook, Dash and Espinoza (2007): B x_B = b and B^T y = c_B are solved by
+Bareiss's fraction-free elimination, and x_B >= 0 and every reduced cost
+>= 0 are checked on integers.  When that proof fails the same tableau runs
+over Fraction from the start, so every exact verdict rests on exact
+arithmetic.
 
-Exact data run on Python ints, with one Fraction per reported value.  At
-tau = a/q the sphere values come from the homogenised recurrence as the
-integers N_j = q**j * S_j(a/q).  The certificate's factors (q*x - a_i) are
-multiplied in the sphere basis on ints and divided by q**deg once; float
-data take the same route on the binary fractions they store.  The proof
-scales each column of [A | b] by the lcm of its denominators, so column j of
-the dual LP carries q**j, where clearing whole rows would carry q**u in
-every entry.
+Exact data stay on Python ints up to the proof.  At tau = a/q the sphere
+values come from the homogenised recurrence as the integers
+N_j = q**j * S_j(a/q), and each LP lays them out as integer columns with one
+positive scale per column: column f_j of the dual carries Q**j, Q the lcm of
+the q, and column m_i of the primal carries q_i**u.  The float tableau takes
+each entry as int / scale, which rounds once, as float(Fraction) does, and
+the proof eliminates on the integer columns themselves.  Fractions appear
+only in the reported values and in the Fraction tableau of a rejected basis.
+The certificate's factors (q*x - a_i) are multiplied in the sphere basis on
+ints and divided by q**deg once; float data take the same route on the
+binary fractions they store.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .graphcore import Graph, regularity
 from .orthopoly import (
@@ -228,86 +234,77 @@ class LPSolution:
     variables: tuple
 
 
-def _standard_form(c: list, rows: list, rhs: list, slack: int, conv) -> tuple[list, list, list, list]:
+def _standard_form(c: list, rows: list, rhs: list, slack: int) -> tuple[list, list, list, list]:
     """The LP rows . x <= rhs (slack = 1) or >= rhs (slack = -1) as A z = b, z >= 0.
 
     x >= 0 and rhs >= 0.  z is x followed by one slack column per row, in
     row order, holding slack in its row.  Returns A, b, the cost of z (c,
     then zeros) and, per row, the column that is a unit column of that row:
-    its slack when slack = 1, otherwise None.
+    its slack when slack = 1, otherwise None.  Entries stay as given.
     """
-    m, zero = len(rows), conv(0)
-    A = []
-    for r, row in enumerate(rows):
-        slacks = [zero] * m
-        slacks[r] = conv(slack)
-        A.append([conv(a) for a in row] + slacks)
+    m = len(rows)
+    A = [list(row) + [slack if s == r else 0 for s in range(m)] for r, row in enumerate(rows)]
     unit = [len(c) + r for r in range(m)] if slack > 0 else [None] * m
-    return A, [conv(v) for v in rhs], [conv(a) for a in c] + [zero] * m, unit
+    return A, list(rhs), list(c) + [0] * m, unit
 
 
-def _bland(A: list, b: list, cost: list, unit: list, exact: bool) -> tuple[str, list, list]:
+def _bland(A: np.ndarray, b: Sequence, cost: Sequence, unit: list) -> tuple[str, list, list]:
     """Minimize cost.z subject to A z = b, z >= 0, b >= 0.
 
     Dense two-phase tableau with Bland's rule, starting from the unit
-    columns and one artificial column per row without one; Fractions
-    throughout when exact, float64 with a pivot tolerance otherwise.
-    Returns the status and, when optimal, the final basis and its values,
-    one per row left: phase 1 drops the rows it finds redundant.
+    columns and one artificial column per row without one.  A is a 2-D
+    array: float64, pivoted with a tolerance, or object dtype holding
+    Fractions, pivoted exactly; b and cost hold the same kind of values.
+    One array holds the rows, the right-hand side and, as its last row,
+    the reduced costs, and a pivot leaves every row whose entry in the
+    pivot column is 0 as it was.  Returns the status and, when optimal,
+    the final basis and its values, one per row left: phase 1 drops the
+    rows it finds redundant.
     """
-    if exact:
-        zero, one = Fraction(0), Fraction(1)
-        tol = Fraction(0)
-    else:
-        zero, one = 0.0, 1.0
-        tol = 1e-9
-    m = len(A)
-    real_cols = ncols = len(cost)
-    art_col = {}
-    for r in range(m):
-        if unit[r] is None:
-            art_col[r] = ncols
-            ncols += 1
-    tableau = [row + [zero] * (ncols - real_cols) + [rhs] for row, rhs in zip(A, b)]
+    exact = A.dtype == object
+    tol = 0 if exact else 1e-9
+    m, real_cols = A.shape
+    arts = [r for r in range(m) if unit[r] is None]
+    T = np.zeros((m + 1, real_cols + len(arts) + 1), dtype=A.dtype)
+    T[:m, :real_cols] = A
+    T[:m, -1] = b
     basis = list(unit)
-    for r, col in art_col.items():
-        tableau[r][col] = one
+    for col, r in enumerate(arts, start=real_cols):
+        T[r, col] = 1
         basis[r] = col
-
-    def nonzero(a) -> bool:
-        return a != zero if exact else abs(a) > tol
 
     def pivot(r: int, col: int) -> None:
-        piv = tableau[r][col]
-        tableau[r] = [a / piv for a in tableau[r]]
-        for rr in range(len(tableau)):
-            if rr != r and tableau[rr][col] != zero:
-                f = tableau[rr][col]
-                tableau[rr] = [a - f * b for a, b in zip(tableau[rr], tableau[r])]
+        row = T[r]
+        row /= row[col]
+        factors = T[:, col : col + 1]
+        # the rows other than r whose entry in col is nonzero; a cast to bool
+        # reads -0.0 as 0, as != 0 does, at a fraction of a comparison's cost
+        rows = factors.astype(bool)
+        rows[r, 0] = False
+        np.subtract(T, factors * row, out=T, where=rows)
         basis[r] = col
 
-    def run(cost: list) -> str:
-        width = len(tableau[0]) - 1
-        z = list(cost[:width]) + [zero]
-        for r in range(len(tableau)):
-            cb = cost[basis[r]]
-            if cb != zero:
-                for j in range(width + 1):
-                    z[j] = z[j] - cb * tableau[r][j]
+    def run(cost: Sequence) -> str:
+        # cost covers the columns that may enter: every column in phase 1,
+        # the real ones in phase 2, which leaves the artificials in T unread
+        width = len(cost)
+        z = T[-1]
+        z[:width] = cost
+        z[width:] = 0
+        for r, col in enumerate(basis):
+            if cost[col] != 0:
+                z -= cost[col] * T[r]
         while True:
-            enter = -1
-            for j in range(width):
-                if z[j] < -tol:
-                    enter = j
+            for enter, a in enumerate(z[:width].tolist()):
+                if a < -tol:
                     break
-            if enter < 0:
+            else:
                 return "optimal"
             leave = -1
             best_ratio = None
-            for r in range(len(tableau)):
-                a = tableau[r][enter]
+            for r, (a, rhs) in enumerate(zip(T[:-1, enter].tolist(), T[:-1, -1].tolist())):
                 if a > tol:
-                    ratio = tableau[r][-1] / a
+                    ratio = rhs / a
                     if best_ratio is None or ratio < best_ratio - tol or (
                         not ratio > best_ratio + tol and basis[r] < basis[leave]
                     ):
@@ -315,61 +312,44 @@ def _bland(A: list, b: list, cost: list, unit: list, exact: bool) -> tuple[str, 
                         leave = r
             if leave < 0:
                 return "unbounded"
-            piv_row = leave
-            f = z[enter]
-            pivot(piv_row, enter)
-            if f != zero:
-                for j in range(width + 1):
-                    z[j] = z[j] - f * tableau[piv_row][j]
+            pivot(leave, enter)
 
-    if art_col:
-        phase1 = [zero] * ncols
-        for col in art_col.values():
-            phase1[col] = one
-        run(phase1)
-        art_set = set(art_col.values())
-        infeas = sum(tableau[r][-1] for r in range(len(tableau)) if basis[r] in art_set)
-        if (infeas > zero) if exact else (infeas > 1e-7):
+    if arts:
+        run([0] * real_cols + [1] * len(arts))
+        infeas = sum(rhs for rhs, col in zip(T[:-1, -1].tolist(), basis) if col >= real_cols)
+        if infeas > (0 if exact else 1e-7):
             return "infeasible", [], []
         # Drive leftover zero-valued artificials out of the basis, dropping
-        # rows that have become redundant, then discard artificial columns.
+        # rows that have become redundant.
         drop = []
-        for r in range(len(tableau)):
-            if basis[r] in art_set:
-                for j in range(real_cols):
-                    if nonzero(tableau[r][j]):
-                        pivot(r, j)
-                        break
+        for r in range(m):
+            if basis[r] >= real_cols:
+                nonzero = abs(T[r, :real_cols]) > tol
+                j = int(nonzero.argmax())
+                if nonzero[j]:
+                    pivot(r, j)
                 else:
                     drop.append(r)
         if drop:
-            tableau = [row for r, row in enumerate(tableau) if r not in drop]
-            basis = [b for r, b in enumerate(basis) if r not in drop]
-        tableau = [row[:real_cols] + [row[-1]] for row in tableau]
-    status = run(cost) if tableau else "optimal"
+            T = np.delete(T, drop, axis=0)
+            basis = [col for r, col in enumerate(basis) if r not in drop]
+    status = run(cost) if basis else "optimal"
     if status != "optimal":
         return status, [], []
-    return "optimal", basis, [row[-1] for row in tableau]
-
-
-def _integer_row(row: list) -> list:
-    """A row of ints and Fractions times the lcm of its denominators, as ints."""
-    scale = math.lcm(*(a.denominator for a in row))
-    return [a.numerator * (scale // a.denominator) for a in row]
+    return "optimal", basis, T[:-1, -1].tolist()
 
 
 def _bareiss_solve(M: list, rhs: list) -> Optional[tuple[list, int]]:
-    """Solve M x = rhs exactly for a square matrix M of ints and Fractions.
+    """Solve M x = rhs exactly for a square matrix M and a right-hand side of ints.
 
-    Each row of [M | rhs] is scaled to integers, and Bareiss's (1968)
-    fraction-free elimination with row exchanges makes it upper triangular:
-    each update is an exact integer division by the previous pivot, and the
-    last pivot D is +-det M.  Back-substitution, the only step that divides,
-    gives x = X / D with X integer (Cramer).  Returns (X, D), or None when M
-    is singular.
+    Bareiss's (1968) fraction-free elimination with row exchanges makes
+    [M | rhs] upper triangular: each update is an exact integer division by
+    the previous pivot, and the last pivot D is +-det M.  Back-substitution,
+    the only step that divides, gives x = X / D with X integer (Cramer).
+    Returns (X, D), or None when M is singular.
     """
     n = len(M)
-    a = [_integer_row(list(row) + [r]) for row, r in zip(M, rhs)]
+    a = [list(row) + [r] for row, r in zip(M, rhs)]
     prev = 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
@@ -388,22 +368,21 @@ def _bareiss_solve(M: list, rhs: list) -> Optional[tuple[list, int]]:
     return X, prev
 
 
-def _proven_optimal(A: list, b: list, cost: list, basis: list) -> Optional[list]:
+def _proven_optimal(A: list, scales: list, b: list, cost: list, basis: list) -> Optional[list]:
     """Basic values if basis is provably optimal for min cost.z, A z = b, z >= 0.
 
-    Each column of [A | b] is scaled by the lcm of its denominators, and
-    each cost by the same factor, which puts the system on integers with no
-    sign change; with B the basis columns, x_B = B^-1 b must be >= 0
-    (primal feasible), and with B^T y = c_B every reduced cost c_j - y.A_j
-    must be >= 0 (dual feasible).  Both hold exactly or the answer is None,
-    as it is for a singular B.  The values map back through the scales.
+    Every argument holds ints: column j of A stands for A[.][j] / scales[j],
+    scales[j] > 0.  In w_j = z_j / scales[j] the LP reads A w = b with cost
+    cost[j] * scales[j], all on integers and with no sign change.  With B
+    the basis columns, w_B = B^-1 b must be >= 0 (primal feasible), and with
+    B^T y = c_B every reduced cost c_j - y.A_j must be >= 0 (dual feasible).
+    Both hold exactly or the answer is None, as it is for a singular B.
+    The values z_B return as Fractions.
     """
-    columns = [*zip(*A), b]
-    scales = [math.lcm(*(a.denominator for a in col)) for col in columns]
-    cols = [[a.numerator * (s // a.denominator) for a in col] for col, s in zip(columns, scales)]
-    scaled_cost = _integer_row([c * s for c, s in zip(cost, scales)])
+    cols = list(zip(*A))
+    scaled_cost = [c * s for c, s in zip(cost, scales)]
     B_T = [cols[j] for j in basis]
-    primal = _bareiss_solve([list(row) for row in zip(*B_T)], cols[-1])
+    primal = _bareiss_solve(list(zip(*B_T)), b)
     if primal is None:
         return None
     X, D = primal
@@ -415,54 +394,62 @@ def _proven_optimal(A: list, b: list, cost: list, basis: list) -> Optional[list]
         # E * (c_j - y.A_j), whose sign times the sign of E is the reduced cost's
         if j not in basic and (cj * E - sum(y * a for y, a in zip(Y, cols[j]))) * E < 0:
             return None
-    return [Fraction(scales[j] * x, D * scales[-1]) for j, x in zip(basis, X)]
+    return [Fraction(scales[j] * x, D) for j, x in zip(basis, X)]
 
 
-def _verified_float_solve(A: list, b: list, cost: list, unit: list) -> Optional[tuple[str, list, list]]:
+def _verified_float_solve(A: list, scales: list, b: list, cost: list, unit: list) -> Optional[tuple[str, list, list]]:
     """The float64 tableau's optimal basis with exact values, if proven optimal.
 
+    Entry (r, j) of the float tableau is A[r][j] / scales[j], one correctly
+    rounded int division, which is float(Fraction(A[r][j], scales[j])).
     None when the float run ends otherwise, drops a row, the data leave
     float64's range, or _proven_optimal rejects the basis.
     """
     try:
-        floats = [[float(a) for a in row] for row in A], [float(v) for v in b], [float(v) for v in cost]
+        floats = np.array([[a / s for a, s in zip(row, scales)] for row in A])
+        b_floats, cost_floats = [float(v) for v in b], [float(v) for v in cost]
     except OverflowError:
         return None
-    status, basis, _ = _bland(*floats, unit, exact=False)
+    status, basis, _ = _bland(floats, b_floats, cost_floats, unit)
     if status != "optimal" or len(basis) < len(A):
         return None
-    values = _proven_optimal(A, b, cost, basis)
+    values = _proven_optimal(A, scales, b, cost, basis)
     return None if values is None else ("optimal", basis, values)
 
 
-def _simplex(c: list, rows: list, rhs: list, slack: int, exact: bool) -> tuple[str, list, object]:
+def _simplex(c: list, rows: list, rhs: list, slack: int, scales: Optional[list]) -> tuple[str, list, object]:
     """Minimize c.x subject to rows . x <= rhs (slack = 1) or >= rhs (slack = -1), x >= 0.
 
-    The data are converted to Fraction when exact and to float otherwise.
-    Float data run the two-phase Bland tableau in float64.  Exact data (ints
-    and Fractions) run that float tableau first and keep its final basis
-    only once _proven_optimal has shown it optimal in integer arithmetic.
+    Float data come with scales None and run the two-phase Bland tableau in
+    float64.  Exact data come as ints, c, rhs and rows alike, with one
+    positive scale per column of rows: column j stands for rows[.][j] /
+    scales[j].  They run that float tableau first and keep its final basis
+    only once _proven_optimal has shown it optimal on the integer columns.
     Otherwise, or when the float run ends infeasible or unbounded or drops
-    a row, the Fraction tableau solves from the start.  So an exact
-    "optimal" always carries an exact proof, and "infeasible" or
-    "unbounded" comes only from exact pivoting: on float data the Fraction
-    tableau re-solves the same floats, as the float tableau's tolerances
-    can stop a feasible, bounded LP early, and its values return as floats
-    (ValueError if one is past float64's range).
+    a row, the tableau solves from the start over Fraction, the first point
+    at which the LP's data become Fractions.  So an exact "optimal" always
+    carries an exact proof, and "infeasible" or "unbounded" comes only from
+    exact pivoting: on float data the Fraction tableau re-solves the same
+    floats, as the float tableau's tolerances can stop a feasible, bounded
+    LP early, and its values return as floats (ValueError if one is past
+    float64's range).
     """
-    conv = Fraction if exact else float
-    A, b, cost, unit = _standard_form(c, rows, rhs, slack, conv)
-    solved = _verified_float_solve(A, b, cost, unit) if exact else None
-    status, basis, values = solved or _bland(A, b, cost, unit, exact=exact)
-    if status != "optimal" and not exact:
-        status, basis, values = _bland(*_standard_form(c, rows, rhs, slack, Fraction), exact=True)
-        try:
-            values = [float(v) for v in values]
-        except OverflowError:
-            raise ValueError("the LP optimum lies past float64's range") from None
+    A, b, cost, unit = _standard_form(c, rows, rhs, slack)
+    if scales is None:
+        status, basis, values = _bland(np.array(A, dtype=float), [float(v) for v in b], [float(v) for v in cost], unit)
+        if status != "optimal":
+            status, basis, values = _bland(*_fraction_form(A, b, cost, [1] * len(cost)), unit)
+            try:
+                values = [float(v) for v in values]
+            except OverflowError:
+                raise ValueError("the LP optimum lies past float64's range") from None
+    else:
+        scales = scales + [1] * len(rows)
+        solved = _verified_float_solve(A, scales, b, cost, unit)
+        status, basis, values = solved or _bland(*_fraction_form(A, b, cost, scales), unit)
     if status != "optimal":
         return status, [], None
-    x = [conv(0)] * len(c)
+    x = [0.0 if scales is None else Fraction(0)] * len(c)
     for col, value in zip(basis, values):
         if col < len(c):
             x[col] = value
@@ -470,22 +457,20 @@ def _simplex(c: list, rows: list, rhs: list, slack: int, exact: bool) -> tuple[s
     return "optimal", x, objective
 
 
-def _exact_sphere_values(k: int, t, u: int) -> list:
-    """S_1(t)..S_u(t) for an int or Fraction t, one Fraction (or int) per value."""
-    q = t.denominator
-    nums = list(sphere_sequence(k, t.numerator, u, q=q))[1:]
-    if q == 1:
-        return nums
-    return [Fraction(n, q**j) for j, n in enumerate(nums, start=1)]
+def _fraction_form(A: list, b: list, cost: list, scales: list) -> tuple[np.ndarray, list, list]:
+    """A, b and cost over Fraction, A as the object array _bland takes: entry (r, j) is A[r][j] / scales[j]."""
+    A = np.array([[Fraction(a) / s for a, s in zip(row, scales)] for row in A], dtype=object)
+    return A, [Fraction(v) for v in b], [Fraction(v) for v in cost]
 
 
 def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: int) -> tuple:
     """What both LPs share: u (default 2d - 1), whether the data are exact,
-    the ints S_1(k)..S_u(k), and S_1(tau)..S_u(tau) for each prescribed
-    eigenvalue tau, largest first.
+    the ints S_1(k)..S_u(k) and, for each prescribed eigenvalue tau, largest
+    first, a denominator q and the values N_1..N_u with S_j(tau) = N_j / q**j.
 
-    Float data must stay in float64's range: S_u(k) and every S_j(tau)
-    finite, or ValueError."""
+    At an exact tau = a/q the N_j are the ints of the homogenised
+    recurrence; float data take q = 1 and the float values S_j(tau), which
+    must stay in float64's range, as must S_u(k), or ValueError."""
     taus = _validate_eigenvalues(k, eigenvalues)
     if u is None:
         u = 2 * len(taus) - 1
@@ -497,13 +482,11 @@ def _lp_data(k: int, eigenvalues: Sequence, u: Optional[int], what: str, least: 
     at_k = list(sphere_sequence(k, k, u))
     if not exact and at_k[-1] > sys.float_info.max:
         raise ValueError(f"S_{u}({k}) exceeds float64's range")
-    if exact:
-        values = [_exact_sphere_values(k, t, u) for t in taus]
-    else:
-        values = [list(sphere_sequence(k, float(t), u))[1:] for t in taus]
+    qs = [t.denominator if exact else 1 for t in taus]
+    values = [list(sphere_sequence(k, t.numerator if exact else t, u, q=q))[1:] for t, q in zip(taus, qs)]
     if not exact and not all(math.isfinite(v) for vals in values for v in vals):
         raise ValueError(f"sphere values up to degree {u} at the eigenvalues exceed float64's range")
-    return u, exact, at_k[1:], values
+    return u, exact, at_k[1:], qs, values
 
 
 def lp_bound_dual(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> LPSolution:
@@ -511,11 +494,15 @@ def lp_bound_dual(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> LPS
 
     Minimizes 1 + sum_j f_j * S_j(k) subject to -sum_j f_j * S_j(tau) >= 1 for
     every prescribed eigenvalue, f_j >= 0.  Defaults to u = 2d - 1 where d is
-    the number of prescribed eigenvalues.  Exact with rational data.
+    the number of prescribed eigenvalues.  Exact with rational data, where
+    column f_j holds the ints -N_j * (Q/q)**j over the scale Q**j, Q the lcm
+    of the denominators q.
     """
-    u, exact, at_k, values = _lp_data(k, eigenvalues, u, "coefficient", 1)
-    rows = [[-a for a in vals] for vals in values]
-    status, x, objective = _simplex(at_k, rows, [1] * len(rows), -1, exact)
+    u, exact, at_k, qs, values = _lp_data(k, eigenvalues, u, "coefficient", 1)
+    Q = math.lcm(*qs)
+    rows = [[-n * (Q // q) ** j for j, n in enumerate(N, start=1)] for q, N in zip(qs, values)]
+    scales = [Q**j for j in range(1, u + 1)] if exact else None
+    status, x, objective = _simplex(at_k, rows, [1] * len(rows), -1, scales)
     if status != "optimal":
         return LPSolution(status, None, ())
     return LPSolution("optimal", 1 + objective, tuple(x))
@@ -526,13 +513,15 @@ def lp_bound_primal(k: int, eigenvalues: Sequence, u: Optional[int] = None) -> L
 
     Maximizes 1 + sum_i m_i subject to -sum_i m_i * S_j(tau_i) <= S_j(k) for
     j = 1..u, m_i >= 0.  u = 0 leaves no constraints and yields the one-vertex
-    objective.  Exact with rational data.
+    objective.  Exact with rational data, where column m_i holds the ints
+    -N_j * q_i**(u - j) over the scale q_i**u.
     """
-    u, exact, at_k, cols = _lp_data(k, eigenvalues, u, "constraint", 0)
+    u, exact, at_k, qs, values = _lp_data(k, eigenvalues, u, "constraint", 0)
     if u == 0:
         return LPSolution("optimal", Fraction(1) if exact else 1.0, ())
-    rows = [[-col[j] for col in cols] for j in range(u)]
-    status, x, objective = _simplex([-1] * len(cols), rows, at_k, 1, exact)
+    rows = [[-N[j] * q ** (u - 1 - j) for q, N in zip(qs, values)] for j in range(u)]
+    scales = [q**u for q in qs] if exact else None
+    status, x, objective = _simplex([-1] * len(qs), rows, at_k, 1, scales)
     if status != "optimal":
         return LPSolution(status, None, ())
     return LPSolution("optimal", 1 - objective, tuple(x))

@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -126,22 +126,35 @@ class SphereBasisPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def _integers(self):
+        """(D, the ints D*c_i, whether every c_i is an int), D the common
+        denominator of the coefficients; None when one of them is a float."""
+        cs = self.coeffs
+        if not all(_is_rational(c) for c in cs):
+            return None
+        den = math.lcm(*(c.denominator for c in cs))
+        return den, [c.numerator * (den // c.denominator) for c in cs], all(isinstance(c, int) for c in cs)
+
     def __call__(self, x):
         """Value at x; exact at an int or Fraction x when every coefficient is one.
 
         The exact value is sum_i c_i*N_i*q**(deg-i) / (D*q**deg), with x = a/q,
         N_i = q**i * S_i(a/q) from the homogenised recurrence and D the
         common denominator of the c_i: integer products and one division.
-        It is an int when x and every coefficient are ints.
+        D and the ints D*c_i are formed once per polynomial.  The value is
+        an int when x and every coefficient are ints.
         """
-        cs, deg = self.coeffs, self.degree
-        if not (_is_rational(x) and all(_is_rational(c) for c in cs)):
-            return reduce(operator.add, map(operator.mul, cs, sphere_sequence(self.k, x, deg)))
-        q, den = x.denominator, math.lcm(*(c.denominator for c in cs))
+        deg = self.degree
+        exact = self._integers if _is_rational(x) else None
+        if exact is None:
+            return reduce(operator.add, map(operator.mul, self.coeffs, sphere_sequence(self.k, x, deg)))
+        den, nums, ints = exact
+        q = x.denominator
         total = 0
-        for c, n in zip(cs, sphere_sequence(self.k, x.numerator, deg, q=q)):
-            total = total * q + c.numerator * (den // c.denominator) * n
-        if isinstance(x, int) and all(isinstance(c, int) for c in cs):
+        for c, n in zip(nums, sphere_sequence(self.k, x.numerator, deg, q=q)):
+            total = total * q + c * n
+        if ints and isinstance(x, int):
             return total
         return Fraction(total, den * q**deg)
 

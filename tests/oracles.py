@@ -256,6 +256,109 @@ def solve_gauss_jordan(M, rhs):
     return [row[n] for row in a]
 
 
+def list_bland(A: list, b: list, cost: list, unit: list, exact: bool) -> tuple[str, list, list]:
+    """Minimize cost.z subject to A z = b, z >= 0, b >= 0, on Python lists.
+
+    The list tableau that the numpy one in lpbound replaced, step for step:
+    two phases with Bland's rule from the unit columns and one artificial
+    per row without one; Fractions when exact, float64 with a pivot
+    tolerance otherwise.  Returns the status and, when optimal, the final
+    basis and its values, one per row left.
+    """
+    if exact:
+        zero, one = Fraction(0), Fraction(1)
+        tol = Fraction(0)
+    else:
+        zero, one = 0.0, 1.0
+        tol = 1e-9
+    m = len(A)
+    real_cols = ncols = len(cost)
+    art_col = {}
+    for r in range(m):
+        if unit[r] is None:
+            art_col[r] = ncols
+            ncols += 1
+    tableau = [list(row) + [zero] * (ncols - real_cols) + [rhs] for row, rhs in zip(A, b)]
+    basis = list(unit)
+    for r, col in art_col.items():
+        tableau[r][col] = one
+        basis[r] = col
+
+    def nonzero(a) -> bool:
+        return a != zero if exact else abs(a) > tol
+
+    def pivot(r: int, col: int) -> None:
+        piv = tableau[r][col]
+        tableau[r] = [a / piv for a in tableau[r]]
+        for rr in range(len(tableau)):
+            if rr != r and tableau[rr][col] != zero:
+                f = tableau[rr][col]
+                tableau[rr] = [a - f * b for a, b in zip(tableau[rr], tableau[r])]
+        basis[r] = col
+
+    def run(cost: list) -> str:
+        width = len(tableau[0]) - 1
+        z = list(cost[:width]) + [zero]
+        for r in range(len(tableau)):
+            cb = cost[basis[r]]
+            if cb != zero:
+                for j in range(width + 1):
+                    z[j] = z[j] - cb * tableau[r][j]
+        while True:
+            enter = -1
+            for j in range(width):
+                if z[j] < -tol:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            best_ratio = None
+            for r in range(len(tableau)):
+                a = tableau[r][enter]
+                if a > tol:
+                    ratio = tableau[r][-1] / a
+                    if best_ratio is None or ratio < best_ratio - tol or (
+                        not ratio > best_ratio + tol and basis[r] < basis[leave]
+                    ):
+                        best_ratio = ratio
+                        leave = r
+            if leave < 0:
+                return "unbounded"
+            f = z[enter]
+            pivot(leave, enter)
+            if f != zero:
+                for j in range(width + 1):
+                    z[j] = z[j] - f * tableau[leave][j]
+
+    if art_col:
+        phase1 = [zero] * ncols
+        for col in art_col.values():
+            phase1[col] = one
+        run(phase1)
+        art_set = set(art_col.values())
+        infeas = sum(tableau[r][-1] for r in range(len(tableau)) if basis[r] in art_set)
+        if (infeas > zero) if exact else (infeas > 1e-7):
+            return "infeasible", [], []
+        drop = []
+        for r in range(len(tableau)):
+            if basis[r] in art_set:
+                for j in range(real_cols):
+                    if nonzero(tableau[r][j]):
+                        pivot(r, j)
+                        break
+                else:
+                    drop.append(r)
+        if drop:
+            tableau = [row for r, row in enumerate(tableau) if r not in drop]
+            basis = [b for r, b in enumerate(basis) if r not in drop]
+        tableau = [row[:real_cols] + [row[-1]] for row in tableau]
+    status = run(cost) if tableau else "optimal"
+    if status != "optimal":
+        return status, [], []
+    return "optimal", basis, [row[-1] for row in tableau]
+
+
 def expansion_brute(g: Graph) -> Fraction:
     """Edge expansion by direct subset enumeration, no Gray-code tricks."""
     n = g.n
@@ -326,6 +429,21 @@ def graph6_decode(data) -> Graph:
     if bits_needed % 6 and vals[-1] & ((1 << (6 - bits_needed % 6)) - 1):
         raise Graph6Error("nonzero padding bits", base + pos + need - 1)
     return Graph.from_edges(n, edges)
+
+
+def packbits_graph6(g: Graph) -> bytes:
+    """graph6 word by a uint8 array of one entry per upper-triangle bit, packed six at a time.
+
+    The writer's encoding before it set bits in the output bytes directly;
+    it allocates n(n-1)/2 bytes, so keep n small.
+    """
+    n = g.n
+    head = bytes([n + 63]) if n <= 62 else bytes([126] + [((n >> shift) & 63) + 63 for shift in (12, 6, 0)])
+    bits = np.zeros(6 * ((n * (n - 1) // 2 + 5) // 6), dtype=np.uint8)
+    for i, j in g.edges():
+        i, j = min(i, j), max(i, j)
+        bits[j * (j - 1) // 2 + i] = 1
+    return head + ((np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63).tobytes()
 
 
 def graph6_encode(g: Graph) -> bytes:

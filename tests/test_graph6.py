@@ -1,10 +1,14 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expanderlp import Graph, Graph6Error, SizeCapError, parse_graph6, write_graph6
+from expanderlp import TABLE_SPECS, Graph, Graph6Error, SizeCapError, build, parse_family, parse_graph6, write_graph6
+from expanderlp.enumeration import random_regular_graph
 
-from oracles import graph6_decode, graph6_encode
+from oracles import graph6_decode, graph6_encode, packbits_graph6
 
 
 def k_n(n):
@@ -131,6 +135,39 @@ class TestRoundTrip:
         word = write_graph6(g)
         assert all(63 <= b <= 126 for b in word)
         assert parse_graph6(word) == g
+
+
+class TestWriterBits:
+    """write_graph6 sets the adjacency bits in the output bytes, one array of the word's length."""
+
+    @pytest.mark.parametrize("spec", [str(spec) for spec in TABLE_SPECS] + ["cycle:66", "pg2:7"])
+    def test_catalog_words_unchanged(self, spec):
+        g = build(parse_family(spec))
+        assert write_graph6(g) == packbits_graph6(g)
+
+    @pytest.mark.parametrize("n, k, seed", [(64, 3, 7), (100, 5, 1), (512, 3, 1), (63, 4, 2)])
+    def test_random_regular_words_unchanged(self, n, k, seed):
+        g = random_regular_graph(n, k, random.Random(seed))
+        assert write_graph6(g) == packbits_graph6(g)
+
+    @given(graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_random_words_unchanged(self, g):
+        assert write_graph6(g) == packbits_graph6(g)
+
+    def test_memory_is_the_word_not_the_bits(self):
+        # cycle:20000 has a 33 MB word over 2e8 bits: the peak is the word's
+        # array, the bytes copied out of it and a few index arrays per edge,
+        # where one byte per bit took 6 times the word
+        g = build(parse_family("cycle:20000"))
+        tracemalloc.start()
+        try:
+            word = write_graph6(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 4 + (20000 * 19999 // 2 + 5) // 6
+        assert peak < 2 * len(word) + 64 * g.n
 
 
 @st.composite

@@ -31,6 +31,7 @@ from expanderlp.lpbound import ATTAINMENT_TOL
 from oracles import (
     eval_poly,
     from_roots,
+    list_bland,
     solve_gauss_jordan,
     sphere_poly_monomial,
     to_monomial,
@@ -484,7 +485,7 @@ def cold(fn, *args):
 
 
 def standard_form_of(fn, *args):
-    """The one standard form (A, b, cost, unit) that fn(*args) hands the verified solve."""
+    """The one standard form (A, scales, b, cost, unit) that fn(*args) hands the verified solve."""
     forms = []
     verified = lpbound._verified_float_solve
 
@@ -501,15 +502,16 @@ def standard_form_of(fn, *args):
 
 @contextmanager
 def float_pass(answer=None):
-    """Record every tableau run as its `exact` flag; answer(unit) replaces the float run's result."""
+    """Record every tableau run as whether it is exact; answer(unit) replaces the float run's result."""
     bland = lpbound._bland
     runs = []
 
-    def spy(A, b, cost, unit, exact):
+    def spy(A, b, cost, unit):
+        exact = A.dtype == object
         runs.append(exact)
         if answer is not None and not exact:
             return answer(unit)
-        return bland(A, b, cost, unit, exact=exact)
+        return bland(A, b, cost, unit)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpbound, "_bland", spy)
@@ -634,16 +636,16 @@ class TestVerifiedBasis:
         # proof gives the basic solution that Gauss-Jordan over Fraction
         # gives, feasible and of least cost among the basic feasible
         # solutions; a feasible basis of higher cost is always rejected
-        A, b, cost, _ = standard_form_of(fn, k, taus, u)
+        A, scales, b, cost, _ = standard_form_of(fn, k, taus, u)
         vertices = {}
         for basis in combinations(range(len(cost)), len(A)):
-            xb = solve_gauss_jordan([[row[j] for j in basis] for row in A], b)
+            xb = solve_gauss_jordan([[Fraction(row[j], scales[j]) for j in basis] for row in A], b)
             if xb is not None and all(x >= 0 for x in xb):
                 vertices[basis] = (xb, sum(cost[j] * x for j, x in zip(basis, xb)))
         least = min(value for _, value in vertices.values())
         proven = tampered = 0
         for basis in combinations(range(len(cost)), len(A)):
-            values = lpbound._proven_optimal(A, b, cost, list(basis))
+            values = lpbound._proven_optimal(A, scales, b, cost, list(basis))
             if basis not in vertices:
                 assert values is None
             elif vertices[basis][1] > least:
@@ -717,6 +719,167 @@ def standard_forms(draw):
     return A, b, cost, unit
 
 
+@contextmanager
+def same_as_list_tableau():
+    """Run every tableau call on the list tableau too and require the same answer; yields the calls' exact flags."""
+    bland = lpbound._bland
+    runs = []
+
+    def spy(A, b, cost, unit):
+        exact = A.dtype == object
+        got = bland(A, b, cost, unit)
+        want = list_bland(A.tolist(), list(b), list(cost), unit, exact)
+        assert got == want
+        # repr tells -0.0 from 0.0 and an int from a Fraction
+        assert [repr(v) for v in got[2]] == [repr(v) for v in want[2]]
+        runs.append(exact)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpbound, "_bland", spy)
+        yield runs
+
+
+def old_entries(fn, k, taus, u):
+    """The rows of fn's standard form as exact values, S_j(tau) from the Fraction recurrence."""
+    taus = sorted(taus, reverse=True)
+    S = [[sphere_poly(k, j, t) for j in range(1, u + 1)] for t in taus]
+    if fn is lp_bound_dual:
+        return [[-s for s in row] + [-1 if r == i else 0 for r in range(len(taus))] for i, row in enumerate(S)]
+    return [[-row[j] for row in S] + [1 if r == j else 0 for r in range(u)] for j in range(u)]
+
+
+class TestNumpyTableau:
+    @given(rational_lp_data())
+    @example(CLUSTERED[0])
+    @example(CLUSTERED[1])
+    @example(CLUSTERED[2])
+    @settings(max_examples=60, deadline=None)
+    def test_float_data_as_the_list_tableau(self, data):
+        # the same status, basis and values, floats compared bit for bit
+        k, taus, u = data
+        floats = tuple(float(t) for t in taus)
+        assume(len(set(floats)) == len(floats))
+        for fn in (lp_bound_dual, lp_bound_primal):
+            with same_as_list_tableau() as runs:
+                fn(k, floats, u)
+            assert runs[0] is False
+
+    @given(rational_lp_data())
+    @example(CLUSTERED[0])
+    @example(CLUSTERED[1])
+    @example(CLUSTERED[2])
+    @settings(max_examples=60, deadline=None)
+    def test_exact_data_as_the_list_tableau(self, data):
+        # the float pass of exact data, and the Fraction tableau whenever it runs
+        k, taus, u = data
+        for fn in (lp_bound_dual, lp_bound_primal):
+            with same_as_list_tableau():
+                fn(k, taus, u)
+
+    @given(standard_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_any_form_as_the_list_tableau(self, form):
+        # rows starting from slacks, artificials or both, in float64 and
+        # over Fraction: the same status, basis and values, signed zeros too
+        A, b, cost, unit = form
+        for dtype, conv in ((float, float), (object, Fraction)):
+            got = lpbound._bland(np.array([[conv(a) for a in row] for row in A], dtype=dtype), [conv(v) for v in b],
+                                 [conv(v) for v in cost], unit)
+            want = list_bland([[conv(a) for a in row] for row in A], [conv(v) for v in b], [conv(v) for v in cost], unit,
+                              dtype is object)
+            assert got == want
+            assert [repr(v) for v in got[2]] == [repr(v) for v in want[2]]
+
+    def test_pivot_leaves_zero_rows_alone(self):
+        # -0.0 - 0.0 * -0.0 is +0.0: a pivot that updated row 1, whose entry
+        # in the entering column is 0, would turn its value -0.0 into 0.0
+        A = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        got = lpbound._bland(A, [-0.0, -0.0], [-1.0, 0.0, 0.0, 0.0], [2, 3])
+        assert got == ("optimal", [0, 3], [0.0, 0.0])
+        assert [repr(v) for v in got[2]] == ["-0.0", "-0.0"]
+        assert got == list_bland(A.tolist(), [-0.0, -0.0], [-1.0, 0.0, 0.0, 0.0], [2, 3], False)
+
+    def test_fraction_tableau_as_the_list_tableau(self):
+        # CLUSTERED[0]'s float basis fails the proof, so the object array runs
+        k, taus, u = CLUSTERED[0]
+        with same_as_list_tableau() as runs:
+            lp_bound_dual(k, taus, u)
+        assert runs == [False, True]
+
+    @pytest.mark.parametrize("fn", [lp_bound_dual, lp_bound_primal])
+    @pytest.mark.parametrize(
+        "k, taus, u",
+        [*((k, taus, 2 * len(taus) - 1) for k, taus in MIXED_DENOMINATORS), *CLUSTERED],
+        ids=["3-5-7", "B_8-1009", "2-7-9-int", "clustered-0", "clustered-1", "clustered-2"],
+    )
+    def test_float_entries_round_the_exact_ones(self, fn, k, taus, u):
+        # every entry int / scale of the float tableau is float() of the
+        # exact entry, signed zeros included, and the proof gets ints only
+        floats, proofs = [], []
+        bland, proven = lpbound._bland, lpbound._proven_optimal
+
+        def bland_spy(A, b, cost, unit):
+            if A.dtype != object:
+                floats.append((A.tolist(), b, cost))
+            return bland(A, b, cost, unit)
+
+        def proof_spy(*args):
+            proofs.append(args)
+            return proven(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpbound, "_bland", bland_spy)
+            mp.setattr(lpbound, "_proven_optimal", proof_spy)
+            fn(k, taus, u)
+        [(A, b, cost)] = floats
+        assert [[repr(a) for a in row] for row in A] == [[repr(float(e)) for e in row] for row in old_entries(fn, k, taus, u)]
+        assert all(type(v) is float for v in b + cost)
+        for A, scales, b, cost, basis in proofs:
+            assert all(type(v) is int for v in chain(*A, scales, b, cost, basis))
+
+    def test_no_fraction_before_the_proof(self):
+        built, at_proof = [], []
+
+        class Recorded(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return Fraction(*args)
+
+        proven = lpbound._proven_optimal
+
+        def spy(*args):
+            at_proof.append(len(built))
+            return proven(*args)
+
+        k, taus = MIXED_DENOMINATORS[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpbound, "Fraction", Recorded)
+            mp.setattr(lpbound, "_proven_optimal", spy)
+            sol = lp_bound_dual(k, taus)
+        assert at_proof == [0]
+        assert built
+        assert sol == cold(lp_bound_dual, k, taus)
+
+
+def integer_form(A, b, cost):
+    """A z = b, min cost.z on ints, as _proven_optimal takes them.
+
+    Each row is multiplied by the denominator of its b entry, each column
+    of A is written over the lcm of its denominators as its scale, and the
+    cost is multiplied by the lcm of its own: z and the optimal bases stay.
+    """
+    A = [[a * Fraction(r).denominator for a in row] for row, r in zip(A, b)]
+    scales = [math.lcm(*(Fraction(a).denominator for a in col)) for col in zip(*A)]
+    common = math.lcm(*(Fraction(c).denominator for c in cost))
+    return (
+        [[int(a * s) for a, s in zip(row, scales)] for row in A],
+        scales,
+        [Fraction(r).numerator for r in b],
+        [int(c * common) for c in cost],
+    )
+
+
 class TestColumnScaledProof:
     @given(standard_forms())
     @settings(max_examples=80, deadline=None)
@@ -725,16 +888,17 @@ class TestColumnScaledProof:
         # starting from slacks, artificials or both: the cold tableau's
         # optimal basis is proven, with the cold tableau's values
         A, b, cost, unit = form
-        status, basis, values = lpbound._bland(A, b, cost, unit, exact=True)
+        status, basis, values = lpbound._bland(np.array(A, dtype=object), b, cost, unit)
         assume(status == "optimal" and len(basis) == len(A))
-        assert lpbound._proven_optimal(A, b, cost, basis) == values
+        assert lpbound._proven_optimal(*integer_form(A, b, cost), basis) == values
 
 
 class TestStandardForm:
     def test_dual_rows_take_surplus_columns(self):
         # -sum_j f_j S_j(tau) >= 1: a -1 surplus per row, and every row starts from an artificial
         k, taus, u = 3, (1, -2), 3
-        A, b, cost, unit = standard_form_of(lp_bound_dual, k, taus, u)
+        A, scales, b, cost, unit = standard_form_of(lp_bound_dual, k, taus, u)
+        assert scales == [1] * 5
         assert [row[:u] for row in A] == [[-sphere_poly(k, j, t) for j in range(1, u + 1)] for t in taus]
         assert [row[u:] for row in A] == [[-1, 0], [0, -1]]
         assert b == [1, 1]
@@ -744,7 +908,8 @@ class TestStandardForm:
     def test_primal_rows_take_slack_columns(self):
         # -sum_i m_i S_j(tau_i) <= S_j(k): a +1 slack per row, which starts the basis
         k, taus, u = 3, (1, -2), 3
-        A, b, cost, unit = standard_form_of(lp_bound_primal, k, taus, u)
+        A, scales, b, cost, unit = standard_form_of(lp_bound_primal, k, taus, u)
+        assert scales == [1] * 5
         assert [row[:2] for row in A] == [[-sphere_poly(k, j, t) for t in taus] for j in range(1, u + 1)]
         assert [row[2:] for row in A] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert b == [3, 6, 12]
@@ -826,6 +991,15 @@ class TestFloatVerdicts:
             fn(3, (1.0, bad))
 
 
+def integer_rows(M, rhs):
+    """M and rhs with each row of [M | rhs] times the lcm of its denominators: the same solutions, on ints."""
+    rows = []
+    for row in (list(row) + [r] for row, r in zip(M, rhs)):
+        scale = math.lcm(*(Fraction(a).denominator for a in row))
+        rows.append([int(a * scale) for a in row])
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
 class TestBareissSolve:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
     def test_matches_gauss_jordan(self, n):
@@ -835,7 +1009,7 @@ class TestBareissSolve:
             rhs = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)]
             expected = solve_gauss_jordan(M, rhs)
             assert expected is not None
-            X, D = lpbound._bareiss_solve(M, rhs)
+            X, D = lpbound._bareiss_solve(*integer_rows(M, rhs))
             assert [Fraction(x, D) for x in X] == expected
 
     @pytest.mark.parametrize("n", [2, 5, 16])
@@ -844,7 +1018,7 @@ class TestBareissSolve:
         M = [[Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)] for _ in range(n - 1)]
         a, b = Fraction(rng.randint(1, 9), 7), Fraction(-rng.randint(1, 9), 11)
         M.insert(rng.randrange(n), [a * x + b * y for x, y in zip(M[0], M[-1])])
-        assert lpbound._bareiss_solve(M, [1] * n) is None
+        assert lpbound._bareiss_solve(*integer_rows(M, [1] * n)) is None
 
     @given(
         st.integers(1, 4).flatmap(
@@ -858,7 +1032,7 @@ class TestBareissSolve:
     def test_never_a_wrong_solution(self, system):
         M, rhs = system
         expected = solve_gauss_jordan(M, rhs)
-        solved = lpbound._bareiss_solve(M, rhs)
+        solved = lpbound._bareiss_solve(*integer_rows(M, rhs))
         if expected is None:
             assert solved is None
         else:

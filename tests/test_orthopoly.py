@@ -203,6 +203,29 @@ class TestSphereBasis:
         all_int = isinstance(x, int) and all(isinstance(c, int) for c in coeffs)
         assert type(value) is (int if all_int else Fraction)
 
+    @given(
+        st.integers(2, 7),
+        st.lists(st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=60)), min_size=1, max_size=17),
+        st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=1009)), min_size=2, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_polynomial_at_many_points(self, k, coeffs, xs):
+        # the cleared coefficients are formed once and serve every point,
+        # int points and Fraction points in any order
+        poly = SphereBasisPoly(k, tuple(coeffs))
+        for x in xs + xs[:1]:
+            value = poly(x)
+            assert value == eval_poly(to_monomial(poly), Fraction(x))
+            all_int = isinstance(x, int) and all(isinstance(c, int) for c in coeffs)
+            assert type(value) is (int if all_int else Fraction)
+
+    def test_float_coefficients_at_exact_points(self):
+        # one float coefficient keeps the plain recurrence at every point
+        poly = SphereBasisPoly(3, (5.0, 5, 3, 1))
+        assert poly(1) == 0.0 and type(poly(1)) is float
+        value = poly(Fraction(1, 2))
+        assert value == 5.0 + 5 * Fraction(1, 2) + 3 * Fraction(-11, 4) + Fraction(-19, 8) and type(value) is float
+
     def test_float_and_array_evaluation(self):
         # a float or array point keeps the plain recurrence
         poly = SphereBasisPoly(3, (5, 5, 3, 1))

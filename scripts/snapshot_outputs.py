@@ -111,15 +111,24 @@ def slug(name: str) -> str:
     return re.sub(r"[^\w.-]", "_", name)
 
 
+def text_stream() -> io.TextIOWrapper:
+    """A captured stdout that, like the real one, takes bytes on its .buffer."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+
+
+def captured(stream: io.TextIOWrapper) -> str:
+    return stream.buffer.getvalue().decode("utf-8")
+
+
 def run(argv: list) -> str:
     """Exit code, stdout and stderr of one CLI invocation, as one text."""
-    out, err = io.StringIO(), io.StringIO()
+    out, err = text_stream(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli_main(argv)
         except Exception as exc:  # an uncaught error is an output too
             code = f"raised {type(exc).__name__}: {exc}"
-    return f"exit: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    return f"exit: {code}\n--- stdout\n{captured(out)}--- stderr\n{err.getvalue()}"
 
 
 def extra_graphs() -> dict:
@@ -156,11 +165,11 @@ def main() -> int:
         write(f"generate-{spec}", ["generate", str(spec)])
     inputs = {}
     for family in [str(spec) for spec in TABLE_SPECS] + list(EXTRA_FAMILIES):
-        out = io.StringIO()
+        out = text_stream()
         with contextlib.redirect_stdout(out):
             if cli_main(["generate", family]) != 0:
                 raise SystemExit(f"generate {family} failed")
-        inputs[family] = out.getvalue()
+        inputs[family] = captured(out)
     for name, g in extra_graphs().items():
         inputs[name] = write_graph6(g).decode("ascii") + "\n"
 

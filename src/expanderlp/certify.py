@@ -31,7 +31,7 @@ from .lpbound import (
     lp_bound_dual,
 )
 from .orthopoly import MAX_DEGREE
-from .spectral import Spectrum, spectrum
+from .spectral import Spectrum, _check_cap, spectrum
 
 __all__ = [
     "moore_bound",
@@ -145,22 +145,27 @@ def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationRepor
     the bound is not attained), not-applicable (graph is empty, irregular,
     disconnected, of degree < 2, or its certificate degree 2d - 1 exceeds
     MAX_DEGREE, past which no certificate is built).  Every nonempty graph is
-    measured once, so one past the spectral size cap is a SizeCapError before
-    the O(n^2) sweep, and attainment reads the measured spectrum.
+    measured once: one past the spectral size cap is a SizeCapError before
+    the O(n^2) level sweep; the sweep's intersection array, when the graph is
+    distance-regular, gives the spectrum without an n x n eigensolve; and
+    attainment reads that spectrum.
     """
     if g.n == 0:
         return _not_applicable(g, None, None, "empty graph")
-    spec = spectrum(g, tol_cluster)
+    _check_cap(g)
     dist, girth, array = _level_sweep(g)
+    # only the diameter (None: disconnected) is kept, not n^2 distances through the eigensolve
+    diam = int(dist.max()) if (dist >= 0).all() else None
+    del dist
+    spec = spectrum(g, tol_cluster, array)
     k = regularity(g)
     if k is None:
         return _not_applicable(g, None, girth, "graph is not regular")
-    if not (dist >= 0).all():
+    if diam is None:
         return _not_applicable(g, k, girth, "graph is not connected")
     if k < 2:
         return _not_applicable(g, k, girth, "degree below 2")
     d = spec.d
-    diam = int(dist.max())
     moore = moore_bound(k, d)
     tutte = tutte_bound(k, (girth - 1) // 2) if girth % 2 == 1 else None
     is_moore = g.n == moore

@@ -20,13 +20,13 @@ from .graphcore import (
     Graph,
     Graph6Error,
     SizeCapError,
+    _graph6_word,
     _level_sweep,
     parse_graph6,
     regularity,
-    write_graph6,
 )
 from .lpbound import certificate_from_spectrum, lp_bound_dual
-from .spectral import girth_spectral, spectrum
+from .spectral import _check_cap, girth_spectral, spectrum
 
 __all__ = ["main"]
 
@@ -91,9 +91,10 @@ def _fmt_spectrum(entries) -> str:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     g = _read_graph(ns.path)
     k = regularity(g)
-    # the spectrum first: a graph past the size cap fails before the O(n^2) sweep
-    spec = spectrum(g, ns.tol_cluster) if g.n else None
+    # a graph past the size cap fails before the O(n^2) sweep
+    _check_cap(g)
     dist, girth, array = _level_sweep(g)
+    spec = spectrum(g, ns.tol_cluster, array) if g.n else None
     connected = bool((dist >= 0).all())
     theory = k is not None and connected and k >= 2
     info: dict = {
@@ -207,9 +208,12 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     if n > GRAPH6_WRITE_CAP:
         raise SizeCapError(f"graph6 writer capped at {GRAPH6_WRITE_CAP} vertices, {spec} has {n}")
     g = families.build(spec)
-    # two writes, so a word near the cap is not copied once more to append the newline
-    sys.stdout.write(write_graph6(g).decode("ascii"))
-    sys.stdout.write("\n")
+    # the word's array straight to the binary stream: two writes, so a word
+    # near the cap is neither copied to bytes, nor decoded, nor copied to
+    # append the newline
+    sys.stdout.flush()
+    sys.stdout.buffer.write(_graph6_word(g))
+    sys.stdout.buffer.write(b"\n")
     return EXIT_OK
 
 

@@ -156,6 +156,11 @@ def parse_graph6(data) -> Graph:
 
 def write_graph6(g: Graph) -> bytes:
     """Encode a graph as a canonical graph6 word (no header)."""
+    return _graph6_word(g).tobytes()
+
+
+def _graph6_word(g: Graph) -> np.ndarray:
+    """The graph6 word of `write_graph6` as a uint8 array, which a binary stream writes without a copy."""
     n = g.n
     if n > GRAPH6_WRITE_CAP:
         raise SizeCapError(f"graph6 writer capped at {GRAPH6_WRITE_CAP} vertices, got {n}")
@@ -174,7 +179,7 @@ def write_graph6(g: Graph) -> bytes:
     p = j[up] * (j[up] - 1) // 2 + i[up]
     np.bitwise_or.at(body, p // 6, (32 >> p % 6).astype(np.uint8))
     body += 63
-    return word.tobytes()
+    return word
 
 
 def regularity(g: Graph) -> Optional[int]:

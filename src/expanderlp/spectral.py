@@ -1,5 +1,9 @@
 """Spectra of graphs and exact evaluation of sphere polynomials at adjacency matrices.
 
+`spectrum` takes a distance-regular graph's spectrum from its intersection
+array, a (D+1) x (D+1) eigenproblem with Biggs' multiplicities, and every
+other graph's from one n x n eigensolve of its adjacency matrix.
+
 Every matrix S_i(A) comes from one pass of the tree recurrence,
 `sphere_poly_matrices`, which also decides once whether float64 products are
 exact for the whole pass or Python-int products are needed.
@@ -13,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphcore import Graph, SizeCapError, is_connected, regularity
+from .graphcore import Graph, IntersectionArray, SizeCapError, is_connected, regularity
 from .orthopoly import MAX_DEGREE, sphere_sequence
 
 __all__ = [
@@ -54,36 +58,92 @@ class Spectrum:
         return tuple(e for e, _ in self.entries[1:])
 
 
-def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
+def spectrum(
+    g: Graph, tol: Optional[float] = None, array: Optional[IntersectionArray] = None
+) -> Spectrum:
     """Eigenvalues of the adjacency matrix clustered into distinct values.
 
+    array is g's intersection array as `_level_sweep` measured it, or None.
+    With an array of degree k >= 2 the graph is distance-regular, and its
+    D + 1 distinct eigenvalues and their multiplicities come from the array
+    (`_array_spectrum`), with no n x n eigensolve; every other graph takes
+    `eigvalsh` of its adjacency matrix, one value per vertex.
     Eigenvalues whose consecutive gaps are at most tol are merged into one
-    entry whose value is the mean of the cluster.  Default tol is
-    1e-8 * max(1, max degree); a negative or non-finite tol is ValueError.
-    The top eigenvalue of a k-regular graph,
+    entry whose value is the multiplicity-weighted mean of the cluster.
+    Default tol is 1e-8 * max(1, max degree); a negative or non-finite tol
+    is ValueError.  The top eigenvalue of a k-regular graph,
     connected or not, is exactly k; a tol so wide that the top cluster no
     longer sits at k is bad input: ValueError.
     """
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
-    if g.n > SPECTRAL_SIZE_CAP:
-        raise SizeCapError(f"eigensolver capped at {SPECTRAL_SIZE_CAP} vertices, got {g.n}")
+    _check_cap(g)
     if tol is None:
         tol = 1e-8 * max(1, max(len(s) for s in g.neighbors))
     elif not 0 <= tol < np.inf:
         raise ValueError(f"cluster tolerance must be finite and nonnegative, got {tol}")
-    eig = np.linalg.eigvalsh(g.adjacency_matrix(dtype=np.float64))[::-1]
+    k = regularity(g)
+    if array is not None and k is not None and k >= 2:
+        eig, mult = _array_spectrum(array, g.n)
+    else:
+        eig = np.linalg.eigvalsh(g.adjacency_matrix(dtype=np.float64))[::-1]
+        mult = np.ones(g.n, dtype=np.int64)
     ends = (np.flatnonzero(eig[:-1] - eig[1:] > tol) + 1).tolist() + [len(eig)]
+    values, counts = eig.tolist(), mult.tolist()
     entries = []
     for start, stop in zip([0] + ends, ends):
-        value = eig[start] if stop - start == 1 else eig[start:stop].mean()
-        entries.append((float(value), stop - start))
-    k = regularity(g)
+        if stop - start == 1:
+            entries.append((values[start], counts[start]))
+        else:
+            m = mult[start:stop]
+            entries.append((float((eig[start:stop] * m).sum() / m.sum()), int(m.sum())))
     if k is not None:
         if abs(entries[0][0] - k) > 1e-6:
             raise ValueError("eigensolver sanity check failed: top eigenvalue far from k")
         entries[0] = (float(k), entries[0][1])
     return Spectrum(tuple(entries), tol, g.n)
+
+
+def _check_cap(g: Graph) -> None:
+    """SizeCapError past the spectral size cap, so callers refuse before any O(n^2) work."""
+    if g.n > SPECTRAL_SIZE_CAP:
+        raise SizeCapError(f"eigensolver capped at {SPECTRAL_SIZE_CAP} vertices, got {g.n}")
+
+
+def _array_spectrum(array: IntersectionArray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct eigenvalues, descending, and multiplicities of a distance-regular graph on v vertices.
+
+    The eigenvalues are the roots of the tridiagonal matrix L with rows
+    (c_i, a_i, b_i), taken by `eigvalsh` of its symmetric form T, diagonal
+    a_i and off-diagonals beta_i = sqrt(b_i c_{i+1}).  T's eigenvector with
+    w_0 = 1 is w_i = sqrt(k_i) u_i for the standard sequence u of the root,
+    so Biggs' formula m = v / sum_i k_i u_i^2 reads m = v / |w|^2
+    (Biggs, Algebraic Graph Theory, ch. 21).  The multiplicities must round
+    to integers >= 1 that sum to v.  A root within 1e-6 of an integer r at
+    which the integer continuant det(rI - L) vanishes is exactly r.
+    """
+    a, b, c = array.a, array.b, array.c
+    beta = np.sqrt(np.multiply(b, c, dtype=np.float64))
+    roots = np.linalg.eigvalsh(np.diag(a).astype(np.float64) + np.diag(beta, 1) + np.diag(beta, -1))[::-1]
+    # w_{i+1} = ((theta - a_i) w_i - beta_{i-1} w_{i-1}) / beta_i, with beta_{-1} = 0
+    w_prev, w, beta_prev = 0.0, np.ones_like(roots), 0.0
+    norm = np.ones_like(roots)
+    for a_i, beta_i in zip(a, beta.tolist()):
+        w_prev, w, beta_prev = w, ((roots - a_i) * w - beta_prev * w_prev) / beta_i, beta_i
+        norm += w * w
+    ratio = v / norm
+    mult = np.rint(ratio)
+    if (np.abs(ratio - mult) > 1e-6).any() or mult.min() < 1 or mult.sum() != v:
+        raise ValueError("eigensolver sanity check failed: intersection-array multiplicities are not integers")
+    for i, theta in enumerate(roots.tolist()):
+        r = round(theta)
+        if abs(theta - r) <= 1e-6:
+            p_prev, p = 1, r - a[0]
+            for j in range(1, len(a)):
+                p_prev, p = p, (r - a[j]) * p - b[j - 1] * c[j - 1] * p_prev
+            if p == 0:
+                roots[i] = r
+    return roots, mult.astype(np.int64)
 
 
 def sphere_poly_matrices(g: Graph, upto: int) -> Iterator[np.ndarray]:

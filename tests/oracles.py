@@ -22,6 +22,21 @@ def is_bipartite(g: Graph) -> bool:
     return bool(abs(least + len(g.neighbors[0])) < 1e-9)
 
 
+def eigenvalue_clusters(g: Graph, gap: float = 1e-6) -> list:
+    """Distinct adjacency eigenvalues, descending, with multiplicities.
+
+    One n x n eigvalsh; consecutive eigenvalues within gap form one value,
+    their mean.
+    """
+    groups = []
+    for x in np.linalg.eigvalsh(g.adjacency_matrix(dtype=np.float64))[::-1].tolist():
+        if groups and groups[-1][-1] - x <= gap:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    return [(sum(grp) / len(grp), len(grp)) for grp in groups]
+
+
 def walk_count_matrix(g: Graph, length: int) -> np.ndarray:
     """Counts of non-backtracking walks of each ordered endpoint pair.
 

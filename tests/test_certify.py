@@ -389,6 +389,70 @@ class TestOneDistanceMatrix:
         assert distance_calls == [30]
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Shapes of the matrices handed to eigvalsh."""
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
+class TestOneEigensolve:
+    def test_distance_regular_takes_intersection_matrix(self, eigensolves):
+        assert certify(family("gq:2")).verdict == VERDICT_CERTIFIED
+        assert eigensolves == [(5, 5)]
+
+    def test_prism_takes_adjacency_matrix(self, eigensolves):
+        prism = Graph.from_edges(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+        )
+        assert certify(prism).verdict == VERDICT_FAILED
+        assert eigensolves == [(6, 6)]
+
+    def test_random_cubic_at_cap_takes_adjacency_matrix(self, eigensolves):
+        g = random_regular_graph(512, 3, random.Random(1))
+        report = certify(g)
+        assert report.intersection_array is None
+        assert eigensolves == [(512, 512)]
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
+class TestDistanceRegularSpectrum:
+    def test_petersen_at_tiny_tolerance(self):
+        # the n x n eigensolve split the eigenvalue 1 at tol 1e-17 and read
+        # d = 7; the intersection matrix has exactly 3 roots
+        report = certify(family("petersen"), tol_cluster=1e-17)
+        assert report.verdict == VERDICT_CERTIFIED
+        assert report.spec.d == 2
+
+    @given(spec=st.sampled_from(TABLE_SPECS), tol=st.floats(0, 1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_independent_of_tolerance(self, spec, tol):
+        g = build(spec)
+        base, report = certify(g), certify(g, tol_cluster=tol)
+        assert report.verdict == base.verdict
+        assert report.spec.d == base.spec.d
+        assert [m for _, m in report.spec.entries] == [m for _, m in base.spec.entries]
+
+    @pytest.mark.parametrize("name", [str(s) for s in TABLE_SPECS] + ["pg2:7", "pg2:8"])
+    def test_report_independent_of_labelling(self, name):
+        g = family(name)
+        want = certify(g).to_json()
+        for seed in range(5):
+            assert certify(relabelled(g, seed)).to_json() == want
+
+
 def matrix_trace_products(g, cert):
     """f_i * tr S_i(A), i = 1..deg f, from one sphere_poly_matrices pass.
 
@@ -446,7 +510,7 @@ class TestCatalogRow:
         original = np.linalg.eigvalsh
 
         def counted(a):
-            eigensolves.append(a.shape[0])
+            eigensolves.append(a.shape)
             return original(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
@@ -454,5 +518,8 @@ class TestCatalogRow:
         assert cli.main(["table2", "--json"]) == 0
         orders = [row["v"] for row in json.loads(capsys.readouterr().out)]
         assert len(orders) == len(TABLE_SPECS)
-        assert eigensolves == orders
+        # every row is distance-regular: one (D+1) x (D+1) eigensolve of its
+        # intersection matrix, D the diameter, and no n x n one
+        diameters = [2, 3, 1, 2, 3, 3, 3, 4, 2, 2, 3, 2]
+        assert eigensolves == [(D + 1, D + 1) for D in diameters]
         assert distance_calls == orders

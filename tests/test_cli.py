@@ -4,6 +4,8 @@ import io
 import json
 import random
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +48,27 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", family)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: graph6 writer capped at {graphcore.GRAPH6_WRITE_CAP} vertices")
+
+    def test_word_written_once_as_bytes(self, monkeypatch):
+        # cycle:20000 has a 33 MB word: generate holds it once and writes it,
+        # byte for byte write_graph6's word, to the binary stream uncopied
+        g = build(parse_family("cycle:20000"))
+        written = []
+
+        class Sink:
+            def write(self, data):
+                written.append((len(data), bytes(data[-8:])))
+
+        monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(buffer=Sink(), flush=lambda: None))
+        tracemalloc.start()
+        try:
+            assert main(["generate", "cycle:20000"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        word = write_graph6(g)
+        assert written == [(len(word), word[-8:]), (1, b"\n")]
+        assert peak < 1.2 * len(word) + 64 * g.n
 
 
 class TestAnalyze:
@@ -97,7 +120,8 @@ class TestAnalyze:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         code, _, _ = run(capsys, "analyze", "--json", str(path))
         assert code == 0
-        assert calls == [(10, 10)]
+        # petersen is distance-regular of diameter 2: its 3 x 3 intersection matrix
+        assert calls == [(3, 3)]
 
     def test_gap_from_measured_spectrum(self, capsys, tmp_path):
         # so tight a tolerance splits the eigenvalue 1 of the petersen graph;

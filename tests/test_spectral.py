@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from expanderlp import (
+    TABLE_SPECS,
     Graph,
     SizeCapError,
     build,
@@ -16,7 +17,7 @@ from expanderlp import (
     sphere_poly_matrices,
     sphere_sequence,
 )
-from oracles import walk_count_matrix
+from oracles import eigenvalue_clusters, walk_count_matrix
 
 
 def family(text):
@@ -84,6 +85,55 @@ class TestSpectrum:
         # merging the top eigenvalue away trips the sanity guard
         with pytest.raises(ValueError):
             spectrum(family("cycle:5"), tol=10.0)
+
+
+class TestIntersectionArraySpectrum:
+    """A distance-regular graph's spectrum from its (D+1) x (D+1) intersection matrix."""
+
+    @pytest.mark.parametrize(
+        "name", [str(s) for s in TABLE_SPECS] + ["pg2:7", "pg2:8", "cycle:511", "cycle:512"]
+    )
+    def test_agrees_with_eigvalsh(self, name):
+        g = family(name)
+        k = len(g.neighbors[0])
+        got = spectrum(g, array=is_distance_regular(g)).entries
+        want = eigenvalue_clusters(g)
+        assert [m for _, m in got] == [m for _, m in want]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(got, want)) <= 1e-12 * k
+
+    def test_integral_roots_exact(self):
+        # the continuant of rI - L vanishes at each integer root r
+        g = family("hoffman_singleton")
+        assert spectrum(g, array=is_distance_regular(g)).entries == ((7.0, 1), (2.0, 28), (-3.0, 21))
+        g = family("gq:2")
+        assert spectrum(g, array=is_distance_regular(g)).entries == (
+            (3.0, 1), (2.0, 9), (0.0, 10), (-2.0, 9), (-3.0, 1)
+        )
+
+    def test_irrational_roots_not_rounded(self):
+        g = family("pg2:2")
+        values = [e for e, _ in spectrum(g, array=is_distance_regular(g)).entries]
+        assert values[1] == pytest.approx(2**0.5, abs=1e-14) and values[1] != round(values[1])
+
+    def test_multiplicities_must_be_integers(self):
+        # petersen's array on 11 vertices gives multiplicities 1.1, 5.5 and 4.4
+        array = is_distance_regular(family("petersen"))
+        with pytest.raises(ValueError, match="sanity check"):
+            spectrum(family("cycle:11"), array=array)
+
+    def test_tolerance_merges_roots_by_multiplicity(self):
+        # kneser:7,2 is 10, 1^14, (-4)^6; at tol 6 the last two merge into
+        # their weighted mean -1/2, as the n x n path merges them
+        g = family("kneser:7,2")
+        sp = spectrum(g, tol=6.0, array=is_distance_regular(g))
+        assert sp.entries == ((10.0, 1), (-0.5, 20))
+        assert [m for _, m in spectrum(g, tol=6.0).entries] == [1, 20]
+        assert spectrum(g, tol=6.0).entries[1][0] == pytest.approx(-0.5, abs=1e-12)
+
+    def test_overclustering_caught(self):
+        g = family("cycle:7")
+        with pytest.raises(ValueError, match="top eigenvalue far from k"):
+            spectrum(g, tol=1.3, array=is_distance_regular(g))
 
 
 class TestSpherePolyMatrix:

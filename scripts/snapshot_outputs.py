@@ -132,8 +132,8 @@ def run(argv: list) -> str:
 
 
 def extra_graphs() -> dict:
-    """Inputs outside the family names: prism, path, two triangles, two
-    300-cycles, random cubic.
+    """Inputs outside the family names: the empty graph, prism, path, two
+    triangles, two 300-cycles, random cubic.
 
     The 512-vertex random cubic graph sits at the spectral cap and needs the
     4-byte graph6 size field; the 600-vertex pair of cycles, disconnected,
@@ -141,6 +141,7 @@ def extra_graphs() -> dict:
     """
     triangle = [(0, 1), (1, 2), (0, 2)]
     return {
+        "empty": Graph.from_edges(0, []),
         "prism": Graph.from_edges(6, triangle + [(3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
         "path:5": Graph.from_edges(5, [(i, i + 1) for i in range(4)]),
         "two_triangles": Graph.from_edges(6, triangle + [(3, 4), (4, 5), (3, 5)]),

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .families import FamilySpec, build
-from .graphcore import (
-    Graph,
-    IntersectionArray,
-    _level_sweep,
-    regularity,
-)
+from .graphcore import Graph, IntersectionArray
 from .lpbound import (
     BoundCertificate,
     TightnessReport,
@@ -31,7 +26,7 @@ from .lpbound import (
     lp_bound_dual,
 )
 from .orthopoly import MAX_DEGREE
-from .spectral import Spectrum, _check_cap, spectrum
+from .spectral import Spectrum, measure
 
 __all__ = [
     "moore_bound",
@@ -145,20 +140,12 @@ def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationRepor
     the bound is not attained), not-applicable (graph is empty, irregular,
     disconnected, of degree < 2, or its certificate degree 2d - 1 exceeds
     MAX_DEGREE, past which no certificate is built).  Every nonempty graph is
-    measured once: one past the spectral size cap is a SizeCapError before
-    the O(n^2) level sweep; the sweep's intersection array, when the graph is
-    distance-regular, gives the spectrum without an n x n eigensolve; and
-    attainment reads that spectrum.
+    measured once, by `measure`, and attainment reads that measurement's
+    spectrum.
     """
     if g.n == 0:
         return _not_applicable(g, None, None, "empty graph")
-    _check_cap(g)
-    dist, girth, array = _level_sweep(g)
-    # only the diameter (None: disconnected) is kept, not n^2 distances through the eigensolve
-    diam = int(dist.max()) if (dist >= 0).all() else None
-    del dist
-    spec = spectrum(g, tol_cluster, array)
-    k = regularity(g)
+    k, girth, diam, array, spec = measure(g, tol_cluster)
     if k is None:
         return _not_applicable(g, None, girth, "graph is not regular")
     if diam is None:

@@ -21,12 +21,10 @@ from .graphcore import (
     Graph6Error,
     SizeCapError,
     _graph6_word,
-    _level_sweep,
     parse_graph6,
-    regularity,
 )
 from .lpbound import certificate_from_spectrum, lp_bound_dual
-from .spectral import _check_cap, girth_spectral, spectrum
+from .spectral import girth_spectral, measure
 
 __all__ = ["main"]
 
@@ -90,12 +88,9 @@ def _fmt_spectrum(entries) -> str:
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     g = _read_graph(ns.path)
-    k = regularity(g)
-    # a graph past the size cap fails before the O(n^2) sweep
-    _check_cap(g)
-    dist, girth, array = _level_sweep(g)
-    spec = spectrum(g, ns.tol_cluster, array) if g.n else None
-    connected = bool((dist >= 0).all())
+    # the empty graph has nothing to measure, not even a tolerance to check
+    k, girth, diam, array, spec = measure(g, ns.tol_cluster) if g.n else (None,) * 5
+    connected = diam is not None or not g.n
     theory = k is not None and connected and k >= 2
     info: dict = {
         "v": g.n,
@@ -103,7 +98,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "k": k,
         "connected": connected,
         "girth": girth,
-        "diameter": int(dist.max()) if connected and g.n else None,
+        "diameter": diam,
         "spectrum": None if spec is None else [[e, m] for e, m in spec.entries],
         "d": None if spec is None else spec.d,
         "girth_trace": girth_spectral(g) if theory else None,

@@ -1,8 +1,11 @@
 """Spectra of graphs and exact evaluation of sphere polynomials at adjacency matrices.
 
-`spectrum` takes a distance-regular graph's spectrum from its intersection
-array, a (D+1) x (D+1) eigenproblem with Biggs' multiplicities, and every
-other graph's from one n x n eigensolve of its adjacency matrix.
+`measure` reads a graph once: the size cap, one level sweep for girth,
+diameter and intersection array, then the spectrum, which a distance-regular
+graph takes from its intersection array, a (D+1) x (D+1) eigenproblem with
+Biggs' multiplicities, and every other graph from one n x n eigensolve of
+its adjacency matrix.  `spectrum` is that measurement's spectrum, so every
+entry point reads one spectrum for one graph.
 
 Every matrix S_i(A) comes from one pass of the tree recurrence,
 `sphere_poly_matrices`, which also decides once whether float64 products are
@@ -13,16 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .graphcore import Graph, IntersectionArray, SizeCapError, is_connected, regularity
+from .graphcore import Graph, IntersectionArray, SizeCapError, _level_sweep, is_connected, regularity
 from .orthopoly import MAX_DEGREE, sphere_sequence
 
 __all__ = [
     "SPECTRAL_SIZE_CAP",
+    "Measurement",
     "Spectrum",
+    "measure",
     "spectrum",
     "sphere_poly_matrices",
     "sphere_poly_matrix",
@@ -40,8 +45,6 @@ class Spectrum:
     """Distinct eigenvalues with multiplicities, sorted descending."""
 
     entries: tuple[tuple[float, int], ...]
-    tol: float
-    v: int
 
     @property
     def d(self) -> int:
@@ -58,12 +61,29 @@ class Spectrum:
         return tuple(e for e, _ in self.entries[1:])
 
 
-def spectrum(
-    g: Graph, tol: Optional[float] = None, array: Optional[IntersectionArray] = None
-) -> Spectrum:
-    """Eigenvalues of the adjacency matrix clustered into distinct values.
+class Measurement(NamedTuple):
+    """What `measure` reads from one nonempty graph."""
 
-    array is g's intersection array as `_level_sweep` measured it, or None.
+    k: Optional[int]
+    girth: Optional[int]
+    diameter: Optional[int]
+    array: Optional[IntersectionArray]
+    spectrum: Spectrum
+
+
+def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
+    """Eigenvalues of the adjacency matrix clustered into distinct values: `measure(g, tol).spectrum`."""
+    return measure(g, tol).spectrum
+
+
+def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
+    """Degree, girth, diameter, intersection array and clustered spectrum of a nonempty graph.
+
+    The first four are None when the graph is irregular, acyclic,
+    disconnected or not distance-regular.  A graph past the spectral size
+    cap is a SizeCapError before any O(n^2) work; one `_level_sweep` then
+    gives girth, diameter and array, and its n^2 distances are freed before
+    the eigensolve.
     With an array of degree k >= 2 the graph is distance-regular, and its
     D + 1 distinct eigenvalues and their multiplicities come from the array
     (`_array_spectrum`), with no n x n eigensolve; every other graph takes
@@ -77,13 +97,17 @@ def spectrum(
     """
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
-    _check_cap(g)
+    if g.n > SPECTRAL_SIZE_CAP:
+        raise SizeCapError(f"eigensolver capped at {SPECTRAL_SIZE_CAP} vertices, got {g.n}")
     if tol is None:
         tol = 1e-8 * max(1, max(len(s) for s in g.neighbors))
     elif not 0 <= tol < np.inf:
         raise ValueError(f"cluster tolerance must be finite and nonnegative, got {tol}")
+    dist, girth, array = _level_sweep(g)
+    diameter = int(dist.max()) if (dist >= 0).all() else None
+    del dist
     k = regularity(g)
-    if array is not None and k is not None and k >= 2:
+    if array is not None and k >= 2:
         eig, mult = _array_spectrum(array, g.n)
     else:
         eig = np.linalg.eigvalsh(g.adjacency_matrix(dtype=np.float64))[::-1]
@@ -101,13 +125,7 @@ def spectrum(
         if abs(entries[0][0] - k) > 1e-6:
             raise ValueError("eigensolver sanity check failed: top eigenvalue far from k")
         entries[0] = (float(k), entries[0][1])
-    return Spectrum(tuple(entries), tol, g.n)
-
-
-def _check_cap(g: Graph) -> None:
-    """SizeCapError past the spectral size cap, so callers refuse before any O(n^2) work."""
-    if g.n > SPECTRAL_SIZE_CAP:
-        raise SizeCapError(f"eigensolver capped at {SPECTRAL_SIZE_CAP} vertices, got {g.n}")
+    return Measurement(k, girth, diameter, array, Spectrum(tuple(entries)))
 
 
 def _array_spectrum(array: IntersectionArray, v: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from expanderlp import (
     moore_bound,
     moore_polygon_array,
     parse_family,
+    spectrum,
     sphere_poly_matrices,
     tutte_bound,
     write_graph6,
@@ -367,7 +368,7 @@ def distance_calls(monkeypatch):
         calls.append(g.n)
         return original(g)
 
-    for name in ("graphcore", "certify", "cli"):
+    for name in ("graphcore", "spectral"):
         module = importlib.import_module(f"expanderlp.{name}")
         monkeypatch.setattr(module, "_level_sweep", counted)
     return calls
@@ -420,6 +421,41 @@ class TestOneEigensolve:
         report = certify(g)
         assert report.intersection_array is None
         assert eigensolves == [(512, 512)]
+
+
+def one_spectrum_graph(name):
+    if name == "prism":
+        return Graph.from_edges(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+        )
+    if name == "random_cubic:64":
+        return random_regular_graph(64, 3, random.Random(7))
+    return family(name)
+
+
+class TestOneSpectrum:
+    """The library, `certify` and `analyze` read one spectrum for one graph."""
+
+    @pytest.mark.parametrize(
+        "name", [str(s) for s in TABLE_SPECS] + ["pg2:7", "pg2:8", "prism", "random_cubic:64"]
+    )
+    def test_entry_points_agree(self, name, tmp_path, capsys):
+        g = one_spectrum_graph(name)
+        report = certify(g)
+        assert spectrum(g).entries == report.spec.entries
+        path = tmp_path / "g.g6"
+        path.write_bytes(write_graph6(g) + b"\n")
+        assert main(["analyze", "--json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["spectrum"] == [[e, m] for e, m in report.spec.entries]
+        if report.certificate is None:
+            assert report.attainment is None
+        else:
+            residuals = check_attainment(g, report.certificate).eigenvalue_residuals
+            assert residuals == report.attainment.eigenvalue_residuals
+
+    def test_library_spectrum_takes_intersection_matrix(self, eigensolves):
+        spectrum(family("gq:2"))
+        assert eigensolves == [(5, 5)]
 
 
 def relabelled(g, seed):

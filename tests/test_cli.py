@@ -134,11 +134,11 @@ class TestAnalyze:
         assert doc["spectral_gap"] == 3 - doc["spectrum"][1][0]
 
     def test_size_cap_before_sweep(self, capsys, tmp_path, monkeypatch):
-        import expanderlp.cli as cli
+        import expanderlp.spectral as spectral
 
         path = tmp_path / "big.g6"
         path.write_text(graph6_of(capsys, "cycle:600") + "\n")
-        monkeypatch.setattr(cli, "_level_sweep", lambda g: pytest.fail("sweep ran past the cap"))
+        monkeypatch.setattr(spectral, "_level_sweep", lambda g: pytest.fail("sweep ran past the cap"))
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 3
         assert err == "error: eigensolver capped at 512 vertices, got 600\n"
@@ -381,7 +381,7 @@ class TestCertify:
         # analyze refuses it, before the O(n^2) sweep measures its girth
         path = tmp_path / "big.g6"
         path.write_bytes(write_graph6(Graph.from_edges(600, edges)) + b"\n")
-        for module in (graphcore, importlib.import_module("expanderlp.certify")):
+        for module in (graphcore, importlib.import_module("expanderlp.spectral")):
             monkeypatch.setattr(module, "_level_sweep", lambda g: pytest.fail("sweep ran past the cap"))
         code, out, err = run(capsys, "certify", *argv, str(path))
         assert code == 3

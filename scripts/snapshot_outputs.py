@@ -13,6 +13,8 @@ one per checkout, shows every input whose reports changed:
 
 Covered: `generate` on the catalog families; `certify` (JSON and --text)
 and `analyze` (JSON and text) on those families and a few extra graphs;
+`certify` and `analyze` JSON on `cycle:65` and `cycle:512`, whose level
+sweeps cross a 64-bit word and run 256 levels deep;
 `table2` (JSON and text); `bound` (JSON, and text for each --method) on the
 Petersen and Hoffman-Singleton eigenvalue sets, a set with mixed
 denominators and a d = 8 set on denominator 1009, exact and float; and edge
@@ -36,6 +38,9 @@ from expanderlp.cli import main as cli_main
 from expanderlp.enumeration import random_regular_graph
 
 EXTRA_FAMILIES = ("cycle:18", "cycle:30", "cycle:66", "pg2:7", "pg2:8")
+# JSON reports only: the level sweep crosses a 64-bit word at 65 vertices and
+# runs 256 levels deep at 512
+DEEP_FAMILIES = ("cycle:65", "cycle:512")
 RANDOM_CUBIC = ((64, 7), (512, 1))  # (vertices, generator seed)
 
 # certify on each: the parser's error and its byte offset
@@ -164,13 +169,14 @@ def main() -> int:
 
     for spec in TABLE_SPECS:
         write(f"generate-{spec}", ["generate", str(spec)])
-    inputs = {}
-    for family in [str(spec) for spec in TABLE_SPECS] + list(EXTRA_FAMILIES):
+    def generated(family: str) -> str:
         out = text_stream()
         with contextlib.redirect_stdout(out):
             if cli_main(["generate", family]) != 0:
                 raise SystemExit(f"generate {family} failed")
-        inputs[family] = captured(out)
+        return captured(out)
+
+    inputs = {family: generated(family) for family in [str(spec) for spec in TABLE_SPECS] + list(EXTRA_FAMILIES)}
     for name, g in extra_graphs().items():
         inputs[name] = write_graph6(g).decode("ascii") + "\n"
 
@@ -183,6 +189,11 @@ def main() -> int:
         write(f"certify-text-{name}", ["certify", "--text", str(path)])
         write(f"analyze-json-{name}", ["analyze", "--json", str(path)])
         write(f"analyze-text-{name}", ["analyze", str(path)])
+    for family in DEEP_FAMILIES:
+        path = graphs / f"{slug(family)}.g6"
+        path.write_text(generated(family))
+        write(f"certify-json-{family}", ["certify", str(path)])
+        write(f"analyze-json-{family}", ["analyze", "--json", str(path)])
     for name, word in MALFORMED_WORDS.items():
         path = graphs / f"malformed-{name}.g6"
         path.write_text(word + "\n")

@@ -1,4 +1,15 @@
-"""Simple undirected graphs: graph6 serialization and combinatorial metrics."""
+"""Simple undirected graphs: graph6 serialization and combinatorial metrics.
+
+Girth, distances, diameter and distance-regularity all come from one
+all-sources level sweep, `_level_sweep`, over bit-packed rows: level l
+holds, for every vertex y, the sources at distance l from y, one bit per
+source in uint64 words, and each level costs one gather and OR per
+neighbour slot (the multi-source bit-parallel BFS of Then et al., "The More
+the Merrier", VLDB 2014).  The distances stay packed as ceil(log2(D + 1))
+bit-planes; the n x n int16 matrix is unpacked only by
+`all_pairs_distances` and by the distance-regularity check of a regular,
+connected graph whose level sizes are the same from every vertex.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -117,10 +128,12 @@ def parse_graph6(data) -> Graph:
     """Parse one graph6 word (optional >>graph6<< header allowed).
 
     The adjacency bytes are decoded as one array: each is range-checked,
-    its six bits are unpacked, and each set bit s, counted through the upper
-    triangle column by column, is mapped back to its pair (i, j), i < j,
-    with s = j(j - 1)/2 + i.  A malformed word raises Graph6Error at the
-    offset of its first bad byte.
+    the six bits of each nonzero byte are unpacked, and each set bit s,
+    counted through the upper triangle column by column, is mapped back to
+    its pair (i, j), i < j, with s = j(j - 1)/2 + i.  The pairs are distinct, so the neighbour
+    tuples are slices of their arcs sorted by tail and head, with no
+    per-edge set.  A malformed word raises Graph6Error at the offset of its
+    first bad byte.
     """
     if isinstance(data, str):
         try:
@@ -141,17 +154,25 @@ def parse_graph6(data) -> Graph:
     if len(data) - pos > need:
         raise Graph6Error("trailing garbage", base + pos + need)
     body = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    bad = np.flatnonzero((body < 63) | (body > 126))
+    vals = body - 63  # a byte below 63 wraps past 63
+    bad = np.flatnonzero(vals > 63)
     if bad.size:
         off = int(bad[0])
         raise Graph6Error(f"byte {body[off]} outside graph6 range 63..126", base + pos + off)
-    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].ravel()
-    if bits[bits_needed:].any():
+    if need and vals[-1] & ((1 << (6 * need - bits_needed)) - 1):
         raise Graph6Error("nonzero padding bits", base + pos + need - 1)
-    s = np.flatnonzero(bits)
+    # the six bits of each nonzero byte, most significant first
+    nz = np.flatnonzero(vals)
+    byte, bit = np.nonzero(np.unpackbits(vals[nz, None], axis=1)[:, 2:])
+    s = 6 * nz[byte] + bit
     col_start = np.arange(n) * (np.arange(n) - 1) // 2
     j = np.searchsorted(col_start, s, side="right") - 1
-    return Graph.from_edges(n, zip((s - col_start[j]).tolist(), j.tolist()))
+    i = s - col_start[j]
+    # each pair i < j is both arcs (i, j) and (j, i); sorted by tail, then head
+    tails, heads = np.concatenate([i, j]), np.concatenate([j, i])
+    heads = heads[np.lexsort((heads, tails))].tolist()
+    ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    return Graph(n, tuple(tuple(heads[a:b]) for a, b in zip([0] + ends, ends)))
 
 
 def write_graph6(g: Graph) -> bytes:
@@ -213,19 +234,19 @@ def girth_bfs(g: Graph) -> Optional[int]:
     The name is historical: the girth comes out of the all-sources level
     sweep `_level_sweep`, not a BFS from every root.
     """
-    return _level_sweep(g)[1]
+    return _level_sweep(g).girth
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Distance matrix by the all-sources level sweep; -1 marks unreachable pairs."""
-    return _level_sweep(g)[0]
+    return _level_sweep(g).distances()
 
 
 def diameter(g: Graph) -> int:
-    dist = all_pairs_distances(g) if g.n else None
-    if dist is None or (dist < 0).any():
+    diam = _level_sweep(g).diameter if g.n else None
+    if diam is None:
         raise ValueError("diameter requires a nonempty connected graph")
-    return int(dist.max())
+    return diam
 
 
 @dataclass(frozen=True)
@@ -271,79 +292,155 @@ def is_distance_regular(g: Graph) -> Optional[IntersectionArray]:
     Requires a connected regular graph; checks every ordered pair, so a
     returned array is a proof, not a heuristic.
     """
-    if regularity(g) is None:
+    sweep = _level_sweep(g)
+    if sweep.k is None:
         raise ValueError("distance-regularity requires a regular graph")
-    dist, _, array = _level_sweep(g)
-    if (dist < 0).any():
+    if sweep.diameter is None:
         raise ValueError("distance-regularity requires a connected graph")
-    return array
+    return sweep.array
 
 
-def _level_sweep(g: Graph) -> tuple[np.ndarray, Optional[int], Optional[IntersectionArray]]:
-    """Distances, girth and intersection array from one all-sources level sweep.
+# set bits of each byte value: row popcounts of packed levels on numpy < 2.0,
+# which has no bitwise_count
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
-    Level l+1 of every source x is every unreached y with a neighbour at
-    level l.  Then down[x, y] and same[x, y] count the neighbours of y at
-    distance dist(x, y) - 1 and dist(x, y) from x.  The girth is the least
-    2l + 1 over reachable pairs with same > 0 and 2l over those with
-    down >= 2: each pattern joins two distinct x-y paths of total length
-    2l + 1 or 2l, so it closes a cycle at most that long, and a shortest
-    cycle, being isometric, shows one of them from each of its vertices to
-    the opposite edge or vertex.  On a connected k-regular graph c_l is down
-    and b_l is k - down - same, required constant on each distance class;
-    otherwise the array is None.  dist is int16 (int32 from 2**15 vertices
-    on), -1 for unreachable pairs.
 
-    Levels and distances are symmetric, so the sweep gathers whole rows,
-    level[z] and dist[z] for the j-th neighbour z of every y, rather than
-    columns, with row n as the sentinel; down and same come out transposed,
-    which neither the girth minima nor the per-class constancy test can
-    tell.  Rather than scattering l into each level, every step adds 1 to
-    each pair not yet reached, so dist(x, y) counts the levels before y's.
+class _Sweep(NamedTuple):
+    """What one `_level_sweep` reads from a graph.
+
+    k is the common degree (None if irregular) and width the largest; the
+    diameter is None when the graph is disconnected.  planes[b] holds bit b
+    of every reached distance and unseen the unreached pairs, packed as the
+    levels are; `distances` unpacks them into the matrix.
+    """
+
+    k: Optional[int]
+    width: int
+    girth: Optional[int]
+    diameter: Optional[int]
+    array: Optional[IntersectionArray]
+    planes: tuple[np.ndarray, ...]
+    unseen: np.ndarray
+
+    def distances(self) -> np.ndarray:
+        """n x n int16 distances (int32 from 2**15 vertices on), -1 for unreachable pairs."""
+        n = self.unseen.shape[0]
+        dist = np.zeros((n, n), dtype=np.int16 if n < 2**15 else np.int32)
+        for plane in reversed(self.planes):
+            dist <<= 1
+            dist |= _unpack(plane, n)
+        if self.diameter is None:
+            dist[_unpack(self.unseen, n).view(bool)] = -1
+        return dist
+
+
+def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each packed row, one uint8 per bit: bit x of a row is bit x % 8 of its byte x // 8."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+def _level_sweep(g: Graph) -> _Sweep:
+    """Degree, girth, diameter, intersection array and packed distances from one all-sources level sweep.
+
+    Every set of sources is a packed row, one bit per vertex in uint64
+    words (bit x of a row is bit x % 8 of its byte x // 8).  level[y] holds
+    the sources x with dist(x, y) = l, and row n is the all-zero sentinel:
+    the padded neighbour slots of an irregular graph, and the sentinel's own
+    slots, point at it.  Levels are symmetric, so one step gathers the rows
+    of y's neighbours, one per neighbour slot, and ORs them into once[y]:
+    the sources with a neighbour of y at level l.  Level l+1 is
+    once & unseen.
+
+    The girth is read on the way.  A level-l vertex with a level-l
+    neighbour (once & level) closes a walk of length 2l + 1 from x, and a
+    new vertex with two level-l parents (twice, accumulated as
+    twice |= once & row before once |= row) one of length 2l + 2; each
+    joins two distinct x-y paths, so it closes a cycle at most that long,
+    and a shortest cycle, being isometric, shows one of them from each of
+    its vertices to the opposite edge or vertex.  The first level with
+    either pattern gives the girth; after it, twice is not kept.
+
+    The distances are kept as bit-planes, plane b holding the pairs whose
+    distance has bit b set: ceil(log2(D + 1)) packed n x n bit matrices,
+    never an n x n integer one.  For the array, the row popcounts of every
+    level, the level sizes k_l(y), must be the same for every y; a graph
+    that fails this, or is irregular or disconnected, has array None
+    without any matrix being unpacked.  One that passes unpacks its
+    distances and counts, for every pair, the neighbours of y at distance
+    dist(x, y) - 1 and dist(x, y) from x: c and a, compared as one key
+    with those of vertex 0's pair at the same distance.
     """
     n = g.n
-    width = max(map(len, g.neighbors), default=0)
-    # neighbour lists padded with the sentinel row n
     tails, heads = _arcs(g)
-    nbr = np.full((n, width), n, dtype=np.intp)
-    nbr[tails, np.arange(tails.size) - np.searchsorted(tails, tails)] = heads
-    seen = np.eye(n + 1, n, dtype=bool)
-    level = seen.copy()
-    dist = (~seen).astype(np.int16 if n < 2**15 else np.int32)
-    while level.any():
-        nxt = np.zeros_like(level)
-        for j in range(width):
-            nxt[:n] |= level[nbr[:, j]]
-        level = nxt & ~seen
-        seen |= level
-        dist += ~seen
-    dist[~seen] = -1
-    dist[n] = n  # a padded slot lies farther than any vertex: never counted
-    d = dist[:n]
-    down = np.zeros((n, n), dtype=np.min_scalar_type(width))
-    same = np.zeros_like(down)
+    deg = np.bincount(tails, minlength=n)
+    width = int(deg.max(initial=0))
+    k = width if n and deg.min() == width else None
+    # neighbour slots of every vertex, padded with the sentinel row n, which
+    # is also the slot of the sentinel itself; at least one slot
+    nbr = np.full((max(width, 1), n + 1), n, dtype=np.intp)
+    nbr[np.arange(tails.size) - np.searchsorted(tails, tails), tails] = heads
+    words = (n + 63) // 64
+    level = np.zeros((n + 1, words), dtype=np.uint64)  # level 0 is x = y
+    level.view(np.uint8)[np.arange(n), np.arange(n) // 8] = 1 << np.arange(n) % 8
+    unseen = np.packbits(np.arange(64 * words) < n, bitorder="little").view(np.uint64) ^ level[:n]
+    planes: list[np.ndarray] = []
+    girth = None
+    constant = k is not None  # level sizes the same for every vertex so far
+    ell = 0
+    while True:
+        rows = level[nbr]
+        once = rows[0]
+        twice = np.zeros((n + 1, words), dtype=np.uint64) if girth is None else None
+        for row in rows[1:]:
+            if twice is not None:
+                twice |= once & row
+            once |= row
+        if girth is None and (once & level).any():
+            girth = 2 * ell + 1
+        new = once[:n]
+        new &= unseen
+        if not new.any():
+            break
+        if girth is None and (twice[:n] & new).any():
+            girth = 2 * ell + 2
+        unseen ^= new
+        ell += 1
+        if ell == 1 << len(planes):
+            planes.append(np.zeros((n, words), dtype=np.uint64))
+        for b, plane in enumerate(planes):
+            if ell >> b & 1:
+                plane |= new
+        if constant:
+            sizes = np.take(_POPCOUNT, new.view(np.uint8)).sum(axis=1, dtype=np.int32)
+            constant = not np.count_nonzero(sizes != sizes[0])
+        level = once
+    sweep = _Sweep(k, width, girth, None if unseen.any() else ell, None, tuple(planes), unseen)
+    if not constant or sweep.diameter is None:
+        return sweep
+    dist = sweep.distances()
+    counts = np.zeros((2, n, n), dtype=np.min_scalar_type(width))
+    near = np.empty_like(dist)
     for j in range(width):
         # a neighbour of y lies at distance dist(x, y) - 1, dist(x, y) or + 1
-        nd = dist[nbr[:, j]]
-        down += nd < d
-        same += nd == d
-    reach = d >= 0
-    odd = int(d.ravel()[np.flatnonzero((same > 0) & reach)].min(initial=n))
-    even = int(d.ravel()[np.flatnonzero((down > 1) & reach)].min(initial=n))
-    girth = min(2 * odd + 1, 2 * even) if min(odd, even) < n else None
-    k = regularity(g)
-    if k is None or not reach.all():
-        return d, girth, None
-    b, c = [], []
-    for ell in range(int(d.max()) + 1):
-        at = d == ell
-        cs = down[at]
-        bs = k - cs - same[at]
-        if cs.min() != cs.max() or bs.min() != bs.max():
-            return d, girth, None
-        b.append(int(bs[0]))
-        c.append(int(cs[0]))
-    return d, girth, IntersectionArray(tuple(b[:-1]), tuple(c[1:]))
+        np.take(dist, nbr[j, :n], axis=0, out=near)
+        counts[0] += near < dist
+        counts[1] += near == dist
+    del near
+    # c and a of each pair as one key; every pair at distance l must have
+    # the key of vertex 0's pair at distance l
+    key = counts[0].astype(np.min_scalar_type((width + 1) ** 2))
+    key *= width + 1
+    key += counts[1]
+    del counts
+    ref = np.zeros(ell + 1, dtype=key.dtype)
+    ref[dist[0]] = key[0]
+    # ref[dist] casts the int16 indices in buffered chunks, where np.take
+    # would first copy them all to intp
+    if (key != ref[dist]).any():
+        return sweep
+    c, a = np.divmod(ref, width + 1)
+    b = k - c - a
+    return sweep._replace(array=IntersectionArray(tuple(b[:-1].tolist()), tuple(c[1:].tolist())))
 
 
 @dataclass(frozen=True)

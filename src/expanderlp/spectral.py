@@ -82,8 +82,9 @@ def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
     The first four are None when the graph is irregular, acyclic,
     disconnected or not distance-regular.  A graph past the spectral size
     cap is a SizeCapError before any O(n^2) work; one `_level_sweep` then
-    gives girth, diameter and array, and its n^2 distances are freed before
-    the eigensolve.
+    gives degree, girth, diameter and array from packed BFS levels, and its
+    packed distances are freed before the eigensolve: no n x n distance
+    matrix is held.
     With an array of degree k >= 2 the graph is distance-regular, and its
     D + 1 distinct eigenvalues and their multiplicities come from the array
     (`_array_spectrum`), with no n x n eigensolve; every other graph takes
@@ -99,14 +100,13 @@ def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
         raise ValueError("spectrum of the empty graph is undefined")
     if g.n > SPECTRAL_SIZE_CAP:
         raise SizeCapError(f"eigensolver capped at {SPECTRAL_SIZE_CAP} vertices, got {g.n}")
-    if tol is None:
-        tol = 1e-8 * max(1, max(len(s) for s in g.neighbors))
-    elif not 0 <= tol < np.inf:
+    if tol is not None and not 0 <= tol < np.inf:
         raise ValueError(f"cluster tolerance must be finite and nonnegative, got {tol}")
-    dist, girth, array = _level_sweep(g)
-    diameter = int(dist.max()) if (dist >= 0).all() else None
-    del dist
-    k = regularity(g)
+    sweep = _level_sweep(g)
+    k, girth, diameter, array = sweep.k, sweep.girth, sweep.diameter, sweep.array
+    if tol is None:
+        tol = 1e-8 * max(1, sweep.width)
+    del sweep  # its packed distances go before any eigensolve
     if array is not None and k >= 2:
         eig, mult = _array_spectrum(array, g.n)
     else:

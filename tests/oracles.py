@@ -93,6 +93,23 @@ def bfs_distances(g: Graph) -> np.ndarray:
     return dist
 
 
+def girth_brute(g: Graph):
+    """Shortest cycle length, or None if acyclic: for each edge uv, 1 + the shortest u-v path without uv."""
+    best = None
+    for u, v in g.edges():
+        dist = {u: 0}
+        queue = deque([u])
+        while queue and v not in dist:
+            w = queue.popleft()
+            for z in g.neighbors[w]:
+                if z not in dist and (w, z) != (u, v):
+                    dist[z] = dist[w] + 1
+                    queue.append(z)
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
 def intersection_array_brute(g: Graph):
     """(b, c) of a connected regular graph by the definition, or None.
 

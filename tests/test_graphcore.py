@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,8 @@ from expanderlp import (
     regularity,
 )
 from expanderlp.enumeration import random_regular_graph
-from oracles import bfs_distances, expansion_brute, intersection_array_brute, is_bipartite
+from expanderlp.graphcore import _level_sweep
+from oracles import bfs_distances, expansion_brute, girth_brute, intersection_array_brute, is_bipartite
 
 
 def family(text):
@@ -287,3 +289,69 @@ def test_distance_regularity_matches_definition(g):
     arr = is_distance_regular(g)
     want = intersection_array_brute(g)
     assert (None if arr is None else (arr.b, arr.c)) == want
+
+
+# packed rows end one short of, at and one past a byte or a 64-bit word
+PACKING_SIZES = (7, 8, 9, 15, 16, 17, 63, 64, 65)
+
+
+@st.composite
+def boundary_graphs(draw):
+    """Graphs on PACKING_SIZES vertices: irregular ones with isolated vertices
+    and several components, random regular ones, and complete ones."""
+    n = draw(st.sampled_from(PACKING_SIZES))
+    kind = draw(st.sampled_from(["irregular", "regular", "complete"]))
+    if kind == "complete":
+        return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    if kind == "regular":
+        k = draw(st.sampled_from([k for k in (2, 3, 4) if n * k % 2 == 0]))
+        return random_regular_graph(n, k, random.Random(draw(st.integers(0, 2**32 - 1))))
+    # edges only inside consecutive blocks, so blocks are never joined
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))
+    edges = []
+    for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [n]):
+        if hi - lo > 1:
+            ends = st.integers(lo, hi - 1)
+            edges += draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=2 * (hi - lo)))
+    return Graph.from_edges(n, edges)
+
+
+@given(boundary_graphs())
+@settings(max_examples=120, deadline=None)
+def test_sweep_at_packing_boundaries(g):
+    dist = all_pairs_distances(g)
+    assert (dist == bfs_distances(g)).all()
+    assert girth_bfs(g) == girth_brute(g)
+    if regularity(g) is None or (dist < 0).any():
+        with pytest.raises(ValueError):
+            is_distance_regular(g)
+        return
+    arr = is_distance_regular(g)
+    assert (None if arr is None else (arr.b, arr.c)) == intersection_array_brute(g)
+
+
+@pytest.mark.parametrize("n", list(range(3, 71)) + [511, 512])
+def test_cycle_closed_forms(n):
+    g = c_n(n)
+    d = n // 2
+    assert girth_bfs(g) == n
+    assert diameter(g) == d
+    # the vertex opposite x has both neighbours one step closer when n is even
+    want = IntersectionArray((2,) + (1,) * (d - 1), (1,) * (d - 1) + (2 - n % 2,))
+    assert is_distance_regular(g) == want
+
+
+def test_sweep_memory():
+    # on a graph that is not distance-regular the packed sweep forms no n x n
+    # integer matrix and no n^2-entry index array; a sweep over unpacked int16
+    # distances, down/same counts and int64 girth gathers peaked at 3.8 MB
+    g = random_regular_graph(512, 3, random.Random(1))
+    _level_sweep(g)
+    tracemalloc.start()
+    try:
+        sweep = _level_sweep(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep.array is None
+    assert peak < 3_000_000

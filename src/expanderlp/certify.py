@@ -141,7 +141,7 @@ def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationRepor
     disconnected, of degree < 2, or its certificate degree 2d - 1 exceeds
     MAX_DEGREE, past which no certificate is built).  Every nonempty graph is
     measured once, by `measure`, and attainment reads that measurement's
-    spectrum.
+    degree and spectrum.
     """
     if g.n == 0:
         return _not_applicable(g, None, None, "empty graph")
@@ -164,7 +164,7 @@ def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationRepor
     cert = attainment = None
     if 2 * d - 1 <= MAX_DEGREE:
         cert = certificate_from_spectrum(k, spec.nontrivial)
-        attainment = check_attainment(g, cert, spec=spec)
+        attainment = check_attainment(g, cert, spec=spec, k=k)
     verdict = VERDICT_CERTIFIED
     reason = None
     if girth < 2 * d:

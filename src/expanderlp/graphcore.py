@@ -5,14 +5,17 @@ all-sources level sweep, `_level_sweep`, over bit-packed rows: level l
 holds, for every vertex y, the sources at distance l from y, one bit per
 source in uint64 words, and each level costs one gather and OR per
 neighbour slot (the multi-source bit-parallel BFS of Then et al., "The More
-the Merrier", VLDB 2014).  The distances stay packed as ceil(log2(D + 1))
-bit-planes; the n x n int16 matrix is unpacked only by
-`all_pairs_distances` and by the distance-regularity check of a regular,
-connected graph whose level sizes are the same from every vertex.
+the Merrier", VLDB 2014).  The intersection array is proved on the same
+packed levels: below the girth every ball is a tree, so c_i = 1 and
+a_i = 0 hold for every pair without counting, and from the girth on the
+gathered rows are summed in bit-sliced counters.  The distances stay packed
+as ceil(log2(D + 1)) bit-planes; the n x n int16 matrix is unpacked only
+by `all_pairs_distances`.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,8 +292,11 @@ class IntersectionArray:
 def is_distance_regular(g: Graph) -> Optional[IntersectionArray]:
     """Intersection array if the graph is distance-regular, else None.
 
-    Requires a connected regular graph; checks every ordered pair, so a
-    returned array is a proof, not a heuristic.
+    Requires a connected regular graph.  Every ordered pair is checked, so a
+    returned array is a proof, not a heuristic: below the girth g the ball of
+    radius l around any vertex is a tree whenever 2l + 1 < g, which forces
+    c_l = 1 and a_l = 0 for every pair at once, and from the level that
+    shows the girth on, c and a are counted for every pair (`_level_sweep`).
     """
     sweep = _level_sweep(g)
     if sweep.k is None:
@@ -298,11 +304,6 @@ def is_distance_regular(g: Graph) -> Optional[IntersectionArray]:
     if sweep.diameter is None:
         raise ValueError("distance-regularity requires a connected graph")
     return sweep.array
-
-
-# set bits of each byte value: row popcounts of packed levels on numpy < 2.0,
-# which has no bitwise_count
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 class _Sweep(NamedTuple):
@@ -339,6 +340,37 @@ def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
+def _bit_sum(rows: np.ndarray) -> list[np.ndarray]:
+    """Bitwise sum of packed rows as bit-sliced counters: bit b of the sum at each bit position is in sums[b].
+
+    Each row is added with a ripple carry that stops at the highest plane the
+    count so far can reach; rows is overwritten.
+    """
+    sums = [rows[0]]
+    for j, row in enumerate(rows[1:], 2):
+        carry = row
+        for b, plane in enumerate(sums):
+            if b + 1 == j.bit_length():  # j rows fit in these planes: no carry out
+                plane ^= carry
+                break
+            nxt = plane & carry
+            plane ^= carry
+            carry = nxt
+        else:
+            sums.append(carry)
+    return sums
+
+
+def _common_sum(sums: list[np.ndarray], pairs: np.ndarray) -> Optional[int]:
+    """The sum that every pair in the packed set pairs has, None if they differ; pairs is nonempty."""
+    at = int(pairs.argmax())
+    word = int(pairs.flat[at])
+    bit = word & -word
+    value = sum(1 << b for b, plane in enumerate(sums) if int(plane.flat[at]) & bit)
+    differ = functools.reduce(np.bitwise_or, (~p if value >> b & 1 else p for b, p in enumerate(sums)))
+    return None if (differ & pairs).any() else value
+
+
 def _level_sweep(g: Graph) -> _Sweep:
     """Degree, girth, diameter, intersection array and packed distances from one all-sources level sweep.
 
@@ -360,15 +392,22 @@ def _level_sweep(g: Graph) -> _Sweep:
     its vertices to the opposite edge or vertex.  The first level with
     either pattern gives the girth; after it, twice is not kept.
 
+    So is the intersection array of a regular graph.  The gathered rows of
+    step l, summed per pair, give S(x, y), the number of neighbours of y at
+    distance l from x: c_{l+1}(x, y) on the pairs of level l+1 and a_l(x, y)
+    on those of level l.  Below the girth every ball of radius l is a tree,
+    and the girth tests say so for every pair at once: no once & level
+    means a_l = 0, no twice & new means c_{l+1} = 1.  From the step that
+    finds the girth on, the rows are summed into ceil(log2(k + 1))
+    bit-sliced counter planes (`_bit_sum`), and every pair of a level must
+    have the sum of one of them (`_common_sum`).  The first pair that
+    differs ends the counting and the array is None, while the sweep goes
+    on for the diameter.  Since b_l = k - c_l - a_l, equal c and a on every
+    level of a connected regular graph is distance-regularity.
+
     The distances are kept as bit-planes, plane b holding the pairs whose
-    distance has bit b set: ceil(log2(D + 1)) packed n x n bit matrices,
-    never an n x n integer one.  For the array, the row popcounts of every
-    level, the level sizes k_l(y), must be the same for every y; a graph
-    that fails this, or is irregular or disconnected, has array None
-    without any matrix being unpacked.  One that passes unpacks its
-    distances and counts, for every pair, the neighbours of y at distance
-    dist(x, y) - 1 and dist(x, y) from x: c and a, compared as one key
-    with those of vertex 0's pair at the same distance.
+    distance has bit b set: ceil(log2(D + 1)) packed n x n bit matrices.
+    No n x n integer matrix is formed here; `_Sweep.distances` unpacks one.
     """
     n = g.n
     tails, heads = _arcs(g)
@@ -385,24 +424,41 @@ def _level_sweep(g: Graph) -> _Sweep:
     unseen = np.packbits(np.arange(64 * words) < n, bitorder="little").view(np.uint64) ^ level[:n]
     planes: list[np.ndarray] = []
     girth = None
-    constant = k is not None  # level sizes the same for every vertex so far
+    # a_0..a_l and c_1..c_{l+1} while the pairs of every level have agreed;
+    # c is None for an irregular graph and from the first disagreement on
+    a: list[int] = []
+    c: Optional[list[int]] = [] if k is not None else None
     ell = 0
     while True:
         rows = level[nbr]
-        once = rows[0]
-        twice = np.zeros((n + 1, words), dtype=np.uint64) if girth is None else None
-        for row in rows[1:]:
-            if twice is not None:
+        if girth is None:
+            once, twice = rows[0].copy(), np.zeros((n + 1, words), dtype=np.uint64)
+            for row in rows[1:]:
                 twice |= once & row
-            once |= row
-        if girth is None and (once & level).any():
-            girth = 2 * ell + 1
+                once |= row
+            if (once & level).any():
+                girth = 2 * ell + 1
+        else:
+            once = np.bitwise_or.reduce(rows, axis=0)
         new = once[:n]
         new &= unseen
-        if not new.any():
-            break
+        grown = new.any()
         if girth is None and (twice[:n] & new).any():
             girth = 2 * ell + 2
+        if c is not None:
+            if girth is None:  # below the girth: a tree ball for every pair
+                a_ell, c_next = 0, 1
+            else:  # counted from the step that finds the girth on
+                sums = _bit_sum(rows)
+                a_ell = _common_sum(sums, level)
+                c_next = _common_sum(sums, once) if grown else 0
+            if a_ell is None or c_next is None:
+                c = None
+            else:
+                a.append(a_ell)
+                c.append(c_next)
+        if not grown:
+            break
         unseen ^= new
         ell += 1
         if ell == 1 << len(planes):
@@ -410,37 +466,13 @@ def _level_sweep(g: Graph) -> _Sweep:
         for b, plane in enumerate(planes):
             if ell >> b & 1:
                 plane |= new
-        if constant:
-            sizes = np.take(_POPCOUNT, new.view(np.uint8)).sum(axis=1, dtype=np.int32)
-            constant = not np.count_nonzero(sizes != sizes[0])
         level = once
-    sweep = _Sweep(k, width, girth, None if unseen.any() else ell, None, tuple(planes), unseen)
-    if not constant or sweep.diameter is None:
-        return sweep
-    dist = sweep.distances()
-    counts = np.zeros((2, n, n), dtype=np.min_scalar_type(width))
-    near = np.empty_like(dist)
-    for j in range(width):
-        # a neighbour of y lies at distance dist(x, y) - 1, dist(x, y) or + 1
-        np.take(dist, nbr[j, :n], axis=0, out=near)
-        counts[0] += near < dist
-        counts[1] += near == dist
-    del near
-    # c and a of each pair as one key; every pair at distance l must have
-    # the key of vertex 0's pair at distance l
-    key = counts[0].astype(np.min_scalar_type((width + 1) ** 2))
-    key *= width + 1
-    key += counts[1]
-    del counts
-    ref = np.zeros(ell + 1, dtype=key.dtype)
-    ref[dist[0]] = key[0]
-    # ref[dist] casts the int16 indices in buffered chunks, where np.take
-    # would first copy them all to intp
-    if (key != ref[dist]).any():
-        return sweep
-    c, a = np.divmod(ref, width + 1)
-    b = k - c - a
-    return sweep._replace(array=IntersectionArray(tuple(b[:-1].tolist()), tuple(c[1:].tolist())))
+    diam = None if unseen.any() else ell
+    array = None
+    if c is not None and diam is not None:
+        b = [k - ci - ai for ci, ai in zip([0] + c, a)]
+        array = IntersectionArray(tuple(b[:ell]), tuple(c[:ell]))
+    return _Sweep(k, width, girth, diam, array, tuple(planes), unseen)
 
 
 @dataclass(frozen=True)

@@ -537,7 +537,9 @@ class TightnessReport:
     eigenvalue_residuals: tuple
 
 
-def check_attainment(g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] = None) -> TightnessReport:
+def check_attainment(
+    g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] = None, k: Optional[int] = None
+) -> TightnessReport:
     """Check the equality case of the bound v <= f(k)/f_0 against a concrete graph.
 
     On a connected k-regular graph, tr f(A) = sum_i f_i * tr S_i(A) equals
@@ -556,9 +558,11 @@ def check_attainment(g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] 
     connected graph inside the cap (Mohar 1991) keeps the two apart.  An
     irregular or disconnected graph, a degree mismatch or a certificate
     whose conditions fail makes the certificate inapplicable, reported
-    rather than raised.
+    rather than raised.  k is the graph's common degree as `measure` read
+    it; without it the degree is read from g's neighbour lists.
     """
-    k = regularity(g)
+    if k is None:
+        k = regularity(g)
     if k is None:
         return TightnessReport(False, "graph is not regular", False, ())
     if k != cert.k:

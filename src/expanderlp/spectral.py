@@ -83,8 +83,10 @@ def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
     disconnected or not distance-regular.  A graph past the spectral size
     cap is a SizeCapError before any O(n^2) work; one `_level_sweep` then
     gives degree, girth, diameter and array from packed BFS levels, and its
-    packed distances are freed before the eigensolve: no n x n distance
-    matrix is held.
+    packed distances are freed before the eigensolve.  No n x n distance
+    matrix is formed for any graph: below the girth the array's c_i = 1
+    and a_i = 0 follow from the girth tests themselves, and from the girth
+    on they are counted on the packed levels.
     With an array of degree k >= 2 the graph is distance-regular, and its
     D + 1 distinct eigenvalues and their multiplicities come from the array
     (`_array_spectrum`), with no n x n eigensolve; every other graph takes

@@ -389,6 +389,25 @@ class TestOneDistanceMatrix:
         assert doc["diameter"] == 4 and doc["distance_regular"] is not None
         assert distance_calls == [30]
 
+    @pytest.mark.parametrize("name", ["pg2:8", "cycle:512"])
+    def test_measure_unpacks_no_distances(self, name, monkeypatch):
+        # girth, diameter and array all come from the packed levels
+        graphcore = importlib.import_module("expanderlp.graphcore")
+        spectral = importlib.import_module("expanderlp.spectral")
+        monkeypatch.setattr(graphcore._Sweep, "distances", lambda self: pytest.fail("distances unpacked"))
+        g = family(name)
+        assert spectral.measure(g).array is not None
+        assert certify(g).intersection_array is not None
+
+    def test_certify_reads_the_degree_once(self, monkeypatch):
+        # the sweep reads k; attainment takes it from the measurement
+        lpbound = importlib.import_module("expanderlp.lpbound")
+        monkeypatch.setattr(lpbound, "regularity", lambda g: pytest.fail("degree read twice"))
+        for spec in TABLE_SPECS:
+            assert certify(build(spec)).attainment.tight
+        prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+        assert certify(prism).attainment.applicable
+
 
 @pytest.fixture
 def eigensolves(monkeypatch):

@@ -42,6 +42,24 @@ def prism():
     return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
 
 
+def generalized_petersen(n, t):
+    """GP(n, t): outer cycle u_i ~ u_{i+1}, spokes u_i ~ v_i, inner edges v_i ~ v_{i+t}."""
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    inner = [(n + i, n + (i + t) % n) for i in range(n)]
+    return Graph.from_edges(2 * n, outer + [(i, n + i) for i in range(n)] + inner)
+
+
+def hypercube(d):
+    return Graph.from_edges(1 << d, [(u, u | 1 << b) for u in range(1 << d) for b in range(d) if not u >> b & 1])
+
+
+def rook(m):
+    """K_m x K_m (Cartesian product): cells of an m x m board, adjacent in a shared row or column."""
+    return Graph.from_edges(
+        m * m, [(u, w) for u in range(m * m) for w in range(u + 1, m * m) if (u // m == w // m) != (u % m == w % m)]
+    )
+
+
 class TestGraph:
     def test_from_edges_basic(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (1, 0)])
@@ -170,6 +188,30 @@ class TestDistanceRegularity:
 
     def test_complete(self):
         assert is_distance_regular(k4()) == IntersectionArray((3,), (1,))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # vertex-transitive, so every vertex has the same level sizes, but
+            # not distance-regular: a pair past the girth tells them apart
+            pytest.param(generalized_petersen(8, 3), id="GP(8,3)"),
+            pytest.param(generalized_petersen(12, 5), id="GP(12,5)"),
+            # distance-regular: the dodecahedron, the Desargues graph, cubes
+            # and rook's graphs
+            pytest.param(generalized_petersen(10, 2), id="GP(10,2)"),
+            pytest.param(generalized_petersen(10, 3), id="GP(10,3)"),
+            pytest.param(hypercube(3), id="Q3"),
+            pytest.param(hypercube(4), id="Q4"),
+            pytest.param(rook(3), id="K3xK3"),
+            pytest.param(rook(4), id="K4xK4"),
+            # girth 4: counted from the second step on, across 64-bit words
+            pytest.param(hypercube(6), id="Q6"),
+            pytest.param(hypercube(7), id="Q7"),
+        ],
+    )
+    def test_matches_definition(self, g):
+        arr = is_distance_regular(g)
+        assert (None if arr is None else (arr.b, arr.c)) == intersection_array_brute(g)
 
     def test_array_validation(self):
         with pytest.raises(ValueError):
@@ -341,17 +383,27 @@ def test_cycle_closed_forms(n):
     assert is_distance_regular(g) == want
 
 
-def test_sweep_memory():
-    # on a graph that is not distance-regular the packed sweep forms no n x n
-    # integer matrix and no n^2-entry index array; a sweep over unpacked int16
-    # distances, down/same counts and int64 girth gathers peaked at 3.8 MB
-    g = random_regular_graph(512, 3, random.Random(1))
+def sweep_peak(g):
+    """tracemalloc's peak over one level sweep of g, and the sweep."""
     _level_sweep(g)
     tracemalloc.start()
     try:
         sweep = _level_sweep(g)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], sweep
     finally:
         tracemalloc.stop()
+
+
+def test_sweep_memory():
+    # the packed sweep forms no n x n integer matrix and no n^2-entry index
+    # array, whether the graph is distance-regular or not.  On a random cubic
+    # graph, a sweep over unpacked int16 distances, down/same counts and int64
+    # girth gathers peaked at 3.8 MB
+    peak, sweep = sweep_peak(random_regular_graph(512, 3, random.Random(1)))
     assert sweep.array is None
     assert peak < 3_000_000
+    # on cycle:512, counting c and a over the unpacked int16 distances peaked
+    # at 2.5 MB
+    peak, sweep = sweep_peak(c_n(512))
+    assert sweep.array is not None
+    assert peak < 1_000_000

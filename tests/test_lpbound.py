@@ -430,6 +430,28 @@ class TestAttainment:
         assert rep.applicable
         assert not rep.tight
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), id="star"),
+            pytest.param(Graph.from_edges(3, [(0, 1)]), id="isolated-vertex"),
+        ],
+    )
+    def test_irregular_not_applicable(self, g):
+        # without a measured degree, check_attainment reads it from g
+        rep = check_attainment(g, certificate_from_spectrum(3, (1, -2)))
+        assert (rep.applicable, rep.reason, rep.tight) == (False, "graph is not regular", False)
+
+    def test_measured_degree_is_used(self, monkeypatch):
+        # with k given, the neighbour lists are not read for it
+        g = family("petersen")
+        cert = certificate_from_spectrum(3, (1, -2))
+        want = check_attainment(g, cert)
+        monkeypatch.setattr(lpbound, "regularity", lambda g: pytest.fail("degree read twice"))
+        assert check_attainment(g, cert, k=3) == want
+        rep = check_attainment(g, cert, k=4)
+        assert (rep.applicable, rep.reason) == (False, "certificate k = 3 does not match graph k = 4")
+
 
 @st.composite
 def connected_regular_graphs(draw):

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,16 @@ from expanderlp.enumeration import (
     random_regular_graph,
 )
 from oracles import cubic_graphs_brute, cubic_graphs_dfs
+
+dfs_graphs = functools.cache(lambda n: list(cubic_graphs_dfs(n)))
+
+
+def decode(n, blocks):
+    return [
+        Graph(n, tuple(tuple(v for v in range(n) if m >> v & 1) for m in row))
+        for b in blocks
+        for row in b.tolist()
+    ]
 
 
 class TestRandomRegular:
@@ -135,12 +147,22 @@ class TestExhaustiveCubic:
         assert all(b.dtype == np.uint16 and b.ndim == 2 and b.shape[1] == 8 for b in blocks)
         assert all(len(b) == rows for b in blocks[:-1])
         assert 1 <= len(blocks[-1]) <= rows
-        decoded = [
-            Graph(8, tuple(tuple(v for v in range(8) if m >> v & 1) for m in row))
-            for b in blocks
-            for row in b.tolist()
-        ]
-        assert decoded == list(cubic_graphs_dfs(8))
+        assert decode(8, blocks) == dfs_graphs(8)
+
+    @pytest.mark.parametrize("rows", [1, 7, enumeration.BLOCK_ROWS])
+    @pytest.mark.parametrize("n, tail", [(n, t) for n in (4, 6, 8) for t in range(1, 3 * n // 2 - 2)])
+    def test_every_cut_matches_dfs(self, monkeypatch, n, tail, rows):
+        # completing from residuals at any depth gives the leaves of the plain
+        # depth-first search, in its order.  A residual that ignores u's
+        # saturated neighbours above u fails at n = 8 with tail 1 to 3 only
+        monkeypatch.setattr(enumeration, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(enumeration, "TAIL_EDGES", tail)
+        assert decode(n, connected_cubic_masks(n)) == dfs_graphs(n)
+
+    def test_memo_lives_in_one_call(self):
+        # two enumerations in step share no state
+        pairs = zip(connected_cubic_masks(8), connected_cubic_masks(8), strict=True)
+        assert all((a == b).all() for a, b in pairs)
 
     def test_n10_blocks_are_full(self):
         sizes = [len(b) for b in connected_cubic_masks(10)]
@@ -169,3 +191,31 @@ class TestExhaustiveCubic:
         monkeypatch.setattr(enumeration, "_children", counted)
         assert sum(len(b) for b in connected_cubic_masks(10)) == 132930
         assert max(sizes) <= 2 * enumeration.BLOCK_ROWS - 1
+
+    def test_n10_expands_each_residual_once(self, monkeypatch):
+        # a descent to the leaves hands _children 888,542 rows; completing
+        # each of the 1250 residuals once, 38,732
+        rows = 0
+        children = enumeration._children
+
+        def counted(masks, deg):
+            nonlocal rows
+            rows += len(masks)
+            return children(masks, deg)
+
+        monkeypatch.setattr(enumeration, "_children", counted)
+        assert sum(len(b) for b in connected_cubic_masks(10)) == 132930
+        assert rows <= 100_000
+
+    def test_n10_memory(self):
+        # a descent to the leaves that held degree rows at every depth peaked
+        # at 0.98 MB; the memo must not add to that
+        list(connected_cubic_masks(6))
+        tracemalloc.start()
+        try:
+            for _ in connected_cubic_masks(10):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

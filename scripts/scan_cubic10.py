@@ -88,7 +88,7 @@ def main() -> int:
         i = int(np.argmin(second))
         if best is None or second[i] < best:
             best = second[i]
-            best_adjacency = adjacency[i]
+            best_adjacency = adjacency[i].copy()
         before, count = count, count + len(block)
         if args.progress and count // args.progress > before // args.progress:
             print(f"  scanned {count} graphs, running min lambda_2 = {best:.9f}")

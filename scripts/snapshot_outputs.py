@@ -23,7 +23,8 @@ denominator, a non-finite eigenvalue, float data past float64's range (in
 the LP and in a certificate's bound), exact results past it, a clustered
 float set, a clustered exact set whose LP the Fraction tableau solves, the
 d = 16 set on denominator 1009, a family past the graph6 writer's cap, and
-`certify` and `analyze` with a negative clustering tolerance.
+`certify` and `analyze` with a negative clustering tolerance, and `analyze`
+JSON on `pg2:8` at a clustering tolerance too wide for its trace girth.
 """
 
 import contextlib
@@ -209,6 +210,11 @@ def main() -> int:
         write(name, argv)
     for command in ("certify", "analyze"):
         write(f"{command}-negative-tol-cluster", [command, "--tol-cluster", "-1", str(graphs / "petersen.g6")])
+    # tol 6.0 merges +-2*sqrt(2) into 0^144: the traces cannot decide the girth
+    write(
+        "analyze-json-wide-tol-cluster-pg2:8",
+        ["analyze", "--json", "--tol-cluster", "6.0", str(graphs / "pg2_8.g6")],
+    )
     print(f"wrote {len(list(outdir.glob('*.txt')))} outputs to {outdir}")
     return 0
 

@@ -89,7 +89,7 @@ def _fmt_spectrum(entries) -> str:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     g = _read_graph(ns.path)
     # the empty graph has nothing to measure, not even a tolerance to check
-    k, girth, diam, array, spec = measure(g, ns.tol_cluster) if g.n else (None,) * 5
+    k, girth, diam, array, spec = measured = measure(g, ns.tol_cluster) if g.n else (None,) * 5
     connected = diam is not None or not g.n
     theory = k is not None and connected and k >= 2
     info: dict = {
@@ -101,7 +101,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "diameter": diam,
         "spectrum": None if spec is None else [[e, m] for e, m in spec.entries],
         "d": None if spec is None else spec.d,
-        "girth_trace": girth_spectral(g) if theory else None,
+        "girth_trace": girth_spectral(measured, ns.tol_cluster) if theory else None,
         "spectral_gap": float(k - spec.entries[1][0]) if theory else None,
         "distance_regular": None
         if array is None or not theory

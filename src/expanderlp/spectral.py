@@ -7,20 +7,20 @@ Biggs' multiplicities, and every other graph from one n x n eigensolve of
 its adjacency matrix.  `spectrum` is that measurement's spectrum, so every
 entry point reads one spectrum for one graph.
 
-Every matrix S_i(A) comes from one pass of the tree recurrence,
-`sphere_poly_matrices`, which also decides once whether float64 products are
-exact for the whole pass or Python-int products are needed.
+On a k-regular graph tr S_i(A) is the sum of m(theta) S_i(theta), so
+`girth_spectral` reads the girth from a measurement with no matrix;
+`sphere_poly_matrix` is the one n x n evaluation, S_i(A) in exact integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from typing import Iterator, NamedTuple, Optional
+from itertools import islice
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graphcore import Graph, IntersectionArray, SizeCapError, _level_sweep, is_connected, regularity
+from .graphcore import Graph, IntersectionArray, SizeCapError, _level_sweep, regularity
 from .orthopoly import MAX_DEGREE, sphere_sequence
 
 __all__ = [
@@ -29,16 +29,11 @@ __all__ = [
     "Spectrum",
     "measure",
     "spectrum",
-    "sphere_poly_matrices",
     "sphere_poly_matrix",
     "girth_spectral",
 ]
 
 SPECTRAL_SIZE_CAP = 512
-
-# float64 holds every integer below this exactly.
-_FLOAT_SAFE = 2**53
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -166,52 +161,57 @@ def _array_spectrum(array: IntersectionArray, v: int) -> tuple[np.ndarray, np.nd
     return roots, mult.astype(np.int64)
 
 
-def sphere_poly_matrices(g: Graph, upto: int) -> Iterator[np.ndarray]:
-    """S_0(A), ..., S_upto(A) at the adjacency matrix A of a regular graph, lazily.
-
-    Entry (u, w) of S_i(A) counts non-backtracking walks of length i from u
-    to w, so the entries are nonnegative integers and the rows of A*S_i(A)
-    sum to k*S_i(k).  Every value the recurrence forms is therefore at most
-    k * max(S_0(k), ..., S_{upto-1}(k)), which is k*S_{upto-1}(k) for k >= 2:
-    below 2**53 the products run in float64 (BLAS) and are exact, otherwise
-    they run on Python ints.  This one decision, taken before the first
-    product, is the package's only exactness guard.  Matrices are yielded as
-    int64 arrays, or object arrays of Python ints.
-    """
-    k = regularity(g)
-    if k is None:
-        raise ValueError("polynomial evaluation requires a regular graph")
-    dtype = np.float64 if k * max(sphere_sequence(k, k, upto - 1)) < _FLOAT_SAFE else object
-    mats = sphere_sequence(
-        k, g.adjacency_matrix(dtype=dtype), upto, one=np.eye(g.n, dtype=dtype), mul=np.dot
-    )
-    return (m.astype(np.int64) for m in mats) if dtype is np.float64 else mats
-
-
 def sphere_poly_matrix(g: Graph, i: int) -> np.ndarray:
-    """S_i evaluated at the adjacency matrix, entrywise exact integers.
+    """S_i at the adjacency matrix A of a regular graph, in exact integers.
 
-    Entry (u, w) counts non-backtracking walks of length i from u to w.
+    Entry (u, w) counts non-backtracking walks of length i from u to w.  No
+    value the recurrence forms exceeds k * max(S_j(k) for j < i), a row sum
+    of A*S_j(A), so below 2**53 it runs exactly in float64 (BLAS), otherwise
+    on Python ints: the package's one exactness guard.
     """
     if i < 0 or i > MAX_DEGREE:
         raise ValueError(f"index must lie in 0..{MAX_DEGREE}, got {i}")
-    return next(islice(sphere_poly_matrices(g, i), i, None))
-
-
-def girth_spectral(g: Graph) -> int:
-    """Girth as the first index with a nonzero trace of S_i at the adjacency matrix."""
     k = regularity(g)
     if k is None:
+        raise ValueError("polynomial evaluation requires a regular graph")
+    dtype = np.float64 if k * max(sphere_sequence(k, k, i - 1)) < 2**53 else object
+    mats = sphere_sequence(k, g.adjacency_matrix(dtype=dtype), i, one=np.eye(g.n, dtype=dtype), mul=np.dot)
+    mat = next(islice(mats, i, None))
+    return mat.astype(np.int64) if dtype is np.float64 else mat
+
+
+def girth_spectral(m: Measurement, tol: Optional[float] = None) -> Optional[int]:
+    """Girth of a connected k-regular graph from its measurement, or None.
+
+    tr S_i(A) = sum of m(theta) S_i(theta) over the spectrum (Biggs 1974)
+    counts closed non-backtracking walks of length i: 0 below the girth g,
+    at least 2g at it.  So g is the first i >= 1 whose computed trace t_i
+    exceeds i, while |t_i - tr S_i(A)| <= E_i = i**2 (k-1)**(i-1) F < i.
+    i**2 (k-1)**(i-1) bounds |S_i'| on [-k, k] (Markov; |S_i| <= S_i(k) there)
+    and F = sum of m(theta) (c-1) tol + (m(k)-1) 1e-6 + 16 n N k eps bounds
+    the eigenvalues' distances from their cluster means, where a cluster
+    merged c <= min(m(theta), N - d) of the N values `measure` clustered,
+    plus the eigensolver's error (4 N k eps each) and the float rounding.
+    When E_i >= i, or t_i is farther than E_i from every integer, the result
+    is None.  tol defaults as in `measure`.
+    """
+    k, spec = m.k, m.spectrum
+    if k is None:
         raise ValueError("spectral girth requires a regular graph")
-    if not is_connected(g):
+    if m.diameter is None:
         raise ValueError("spectral girth requires a connected graph")
     if k < 2:
         raise ValueError("graph has no cycle")
-    # While 2r + 1 < girth every radius-r ball is a tree on B_r(k) vertices,
-    # so the first r with B_r(k) > n bounds the girth by 2r + 1.
-    r = next(r for r, ball in enumerate(accumulate(sphere_sequence(k, k, g.n))) if ball > g.n)
-    for i, mat in enumerate(sphere_poly_matrices(g, 2 * r + 1)):
-        if i and np.trace(mat):
+    tol = 1e-8 * k if tol is None else tol
+    theta, mult = np.array(spec.entries).T
+    n = int(mult.sum())
+    solved = n if m.array is None else len(m.array.a)
+    spread = tol * mult @ (np.minimum(mult, solved - spec.d) - 1) + (mult[0] - 1) * 1e-6
+    floor = spread + 16 * n * solved * k * np.finfo(np.float64).eps
+    for i, values in islice(enumerate(sphere_sequence(k, theta.clip(-k, k), n)), 1, None):
+        bound = i * i * (k - 1) ** (i - 1) * floor
+        t = float(mult @ values)
+        if bound >= i or abs(t - round(t)) > bound:
+            return None
+        if t > i:
             return i
-    raise RuntimeError("no nonzero trace up to the girth bound")
-

@@ -4,7 +4,6 @@ import io
 import json
 import random
 import sys
-from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +25,7 @@ from expanderlp import (
     moore_polygon_array,
     parse_family,
     spectrum,
-    sphere_poly_matrices,
+    sphere_poly_matrix,
     tutte_bound,
     write_graph6,
 )
@@ -509,13 +508,12 @@ class TestDistanceRegularSpectrum:
 
 
 def matrix_trace_products(g, cert):
-    """f_i * tr S_i(A), i = 1..deg f, from one sphere_poly_matrices pass.
+    """f_i * tr S_i(A), i = 1..deg f, one sphere_poly_matrix per index.
 
     oracles.trace_products enumerates the walks one by one, which takes
     seconds at pg2:8; the matrices are checked against it in test_spectral.
     """
-    mats = islice(sphere_poly_matrices(g, cert.poly.degree), 1, None)
-    return [c * int(np.trace(m)) for c, m in zip(cert.poly.coeffs[1:], mats)]
+    return [c * int(np.trace(sphere_poly_matrix(g, i))) for i, c in enumerate(cert.poly.coeffs) if i]
 
 
 class TestTracesFromGirth:

@@ -133,6 +133,21 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["spectral_gap"] == 3 - doc["spectrum"][1][0]
 
+    @pytest.mark.parametrize("family, girth", [("pg2:8", 6), ("kneser:7,2", 3)])
+    def test_girth_trace_null_when_clusters_too_wide(self, capsys, tmp_path, family, girth):
+        path = tmp_path / "g.g6"
+        path.write_text(graph6_of(capsys, family) + "\n")
+        code, out, _ = run(capsys, "analyze", "--json", "--tol-cluster", "6.0", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["girth"], doc["girth_trace"]) == (girth, None)
+        code, out, _ = run(capsys, "analyze", "--tol-cluster", "6.0", str(path))
+        assert code == 0
+        assert f"girth: {girth}\n" in out
+        assert "girth via traces" not in out
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert f"girth via traces: {girth}\n" in out
+
     def test_size_cap_before_sweep(self, capsys, tmp_path, monkeypatch):
         import expanderlp.spectral as spectral
 

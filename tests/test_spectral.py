@@ -1,5 +1,9 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from expanderlp import (
     TABLE_SPECS,
@@ -14,10 +18,10 @@ from expanderlp import (
     sphere_poly,
     sphere_poly_matrix,
     spectrum,
-    sphere_poly_matrices,
     sphere_sequence,
 )
-from expanderlp.spectral import _array_spectrum
+from expanderlp.enumeration import random_regular_graph
+from expanderlp.spectral import Spectrum, _array_spectrum, measure
 from oracles import eigenvalue_clusters, walk_count_matrix
 
 
@@ -174,11 +178,9 @@ class TestSpherePolyMatrix:
     def test_exactness_guard_boundary(self, upto, dtype):
         # k = 7: k * S_{upto-1}(k) = 49 * 6**(upto-2) first reaches 2**53 at
         # upto = 21, so 20 is the last float64 pass and 21 the first on Python ints
-        g = family("complete:8")
-        mats = list(sphere_poly_matrices(g, upto))
-        assert len(mats) == upto + 1
-        assert all(m.dtype == dtype for m in mats)
-        row_sums = {int(x) for x in np.asarray(mats[upto], dtype=object).sum(axis=1)}
+        mat = sphere_poly_matrix(family("complete:8"), upto)
+        assert mat.dtype == dtype
+        row_sums = {int(x) for x in np.asarray(mat, dtype=object).sum(axis=1)}
         assert row_sums == {7 * 6 ** (upto - 1)}
 
 
@@ -196,13 +198,43 @@ class TestGirthSpectral:
             "clebsch",
         ):
             g = family(name)
-            assert girth_spectral(g) == girth_bfs(g), name
+            assert girth_spectral(measure(g)) == girth_bfs(g), name
+
+    @given(n=st.integers(6, 512), k=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+    @example(n=512, k=3, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bfs_on_random_regular(self, n, k, seed):
+        g = random_regular_graph(n + n * k % 2, k, random.Random(seed))
+        m = measure(g)
+        assume(m.diameter is not None)
+        assert girth_spectral(m) == girth_bfs(g)
+
+    @given(n=st.integers(3, 512))
+    @example(n=512)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bfs_on_cycles(self, n):
+        assert girth_spectral(measure(family(f"cycle:{n}"))) == n
 
     def test_requires_regular_connected(self):
-        with pytest.raises(ValueError):
-            girth_spectral(Graph.from_edges(3, [(0, 1)]))
-        with pytest.raises(ValueError):
-            girth_spectral(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+        with pytest.raises(ValueError, match="regular"):
+            girth_spectral(measure(Graph.from_edges(3, [(0, 1)])))
+        with pytest.raises(ValueError, match="connected"):
+            girth_spectral(measure(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])))
+
+    def test_moved_eigenvalue_gives_none(self):
+        m = measure(family("petersen"))
+        (top, one, minus_two) = m.spectrum.entries
+        moved = m._replace(spectrum=Spectrum((top, (one[0] + 1e-3, one[1]), minus_two)))
+        assert girth_spectral(m) == 5
+        assert girth_spectral(moved) is None
+
+    @pytest.mark.parametrize("name", ["pg2:8", "kneser:7,2"])
+    def test_wide_tolerance_gives_none(self, name):
+        # tol 6.0 merges pg2:8's +-2*sqrt(2) into 0^144 and kneser:7,2's 1 and -4
+        # into -0.5^20; summed naively those spectra give girth 2
+        g = family(name)
+        assert girth_spectral(measure(g, 6.0), 6.0) is None
+        assert girth_spectral(measure(g)) == girth_bfs(g)
 
 
 class TestHoffmanDecomposition:

@@ -11,8 +11,10 @@ one per checkout, shows every input whose reports changed:
     PYTHONPATH=<checkout B>/src python3 scripts/snapshot_outputs.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-Covered: `generate` on the catalog families; `certify` (JSON and --text)
-and `analyze` (JSON and text) on those families and a few extra graphs;
+Covered: `generate` on the catalog families and on `pg2:5`, `kneser:9,4`
+and `kneser:11,5`, which pin the builders' vertex numbering; `certify`
+(JSON and --text) and `analyze` (JSON and text) on those families and a few
+extra graphs;
 `certify` and `analyze` JSON on `cycle:65` and `cycle:512`, whose level
 sweeps cross a 64-bit word and run 256 levels deep;
 `table2` (JSON and text); `bound` (JSON, and text for each --method) on the
@@ -42,6 +44,8 @@ EXTRA_FAMILIES = ("cycle:18", "cycle:30", "cycle:66", "pg2:7", "pg2:8")
 # JSON reports only: the level sweep crosses a 64-bit word at 65 vertices and
 # runs 256 levels deep at 512
 DEEP_FAMILIES = ("cycle:65", "cycle:512")
+# generate only: further orders of the array-built plane and Kneser graphs
+GENERATE_ONLY = ("pg2:5", "kneser:9,4", "kneser:11,5")
 RANDOM_CUBIC = ((64, 7), (512, 1))  # (vertices, generator seed)
 
 # certify on each: the parser's error and its byte offset
@@ -168,8 +172,8 @@ def main() -> int:
     def write(name: str, argv: list) -> None:
         (outdir / f"{slug(name)}.txt").write_text(run(argv))
 
-    for spec in TABLE_SPECS:
-        write(f"generate-{spec}", ["generate", str(spec)])
+    for family in [str(spec) for spec in TABLE_SPECS] + list(GENERATE_ONLY):
+        write(f"generate-{family}", ["generate", family])
     def generated(family: str) -> str:
         out = text_stream()
         with contextlib.redirect_stdout(out):

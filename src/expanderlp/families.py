@@ -1,7 +1,10 @@
 """Named graph families with known order, girth and spectrum.
 
 Every builder is deterministic: vertex numbering follows a fixed canonical
-order, so repeated builds serialize to identical graph6 words.
+order, so repeated builds serialize to identical graph6 words.  Each builder
+lists its edges directly, without testing vertex pairs: GF(q) arithmetic is
+a pair of lookup tables, the projective plane's incidence is one array, and
+a Kneser vertex's neighbours are the t-subsets of its complement.
 """
 
 from __future__ import annotations
@@ -9,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+
+import numpy as np
 
 from .graphcore import Graph
 
@@ -102,29 +106,27 @@ def _complete_bipartite(k: int) -> Graph:
 
 
 def _kneser(n: int, t: int) -> Graph:
+    """Kneser graph K(n, t): the t-subsets of range(n) in lexicographic order,
+    adjacent when disjoint.
+
+    Complementing reverses lexicographic order, so vertex i's complement is
+    the i-th (n - t)-subset from the end.  Its t-subsets are i's neighbours,
+    ranked by rank(c) = C(n, t) - 1 - sum_j C(n - 1 - c_j, t - j).
+    """
     if not (1 <= t and 2 * t <= n):
         raise UnsupportedFamilyError(f"kneser graph needs 1 <= t <= n/2, got ({n}, {t})")
-    subsets = list(combinations(range(n), t))
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = []
-    for i, a in enumerate(subsets):
-        sa = set(a)
-        for j in range(i + 1, len(subsets)):
-            if sa.isdisjoint(subsets[j]):
-                edges.append((i, index[subsets[j]]))
-    return Graph.from_edges(len(subsets), edges)
+    complements = np.array(list(combinations(range(n), n - t)))[::-1]
+    neighbours = complements[:, list(combinations(range(n - t), t))]
+    binom = np.array([[math.comb(m, r) for r in range(t + 1)] for m in range(n)])
+    ranks = len(complements) - 1 - binom[n - 1 - neighbours, t - np.arange(t)].sum(axis=2)
+    rows, cols = np.nonzero(ranks > np.arange(len(complements))[:, None])
+    return Graph.from_edges(len(complements), zip(rows.tolist(), ranks[rows, cols].tolist()))
 
 
 def _clebsch() -> Graph:
     # Fold the 5-cube: vertices are 4-bit words, adjacent when the XOR has
     # weight 1 (cube edge) or weight 4 (identified antipode).
-    edges = []
-    for x in range(16):
-        for y in range(x + 1, 16):
-            w = bin(x ^ y).count("1")
-            if w == 1 or w == 4:
-                edges.append((x, y))
-    return Graph.from_edges(16, edges)
+    return Graph.from_edges(16, [(x, x ^ e) for x in range(16) for e in (1, 2, 4, 8, 15) if x < x ^ e])
 
 
 def _hoffman_singleton() -> Graph:
@@ -148,71 +150,53 @@ def _hoffman_singleton() -> Graph:
     return Graph.from_edges(50, edges)
 
 
-def _field(q: int):
-    """Addition and multiplication for GF(q), q in {2,3,4,5,7,8}.
+def _field(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication tables of GF(q), q in PG2_ORDERS, as q x q arrays.
 
-    Prime orders use modular arithmetic; 4 and 8 use carry-free polynomial
-    arithmetic reduced by x^2+x+1 and x^3+x+1.
+    Prime orders use arithmetic mod q; 4 and 8 use XOR and the carry-less
+    product reduced by x^2+x+1 and x^3+x+1.
     """
-    if q in (2, 3, 5, 7):
-        return (lambda a, b: (a + b) % q), (lambda a, b: (a * b) % q)
-    if q in (4, 8):
-        modulus = 0b111 if q == 4 else 0b1011
-        deg = 2 if q == 4 else 3
-
-        def mul(a: int, b: int) -> int:
-            acc = 0
-            while b:
-                if b & 1:
-                    acc ^= a
-                b >>= 1
-                a <<= 1
-                if a >> deg:
-                    a ^= modulus
-            return acc
-
-        return (lambda a, b: a ^ b), mul
-    raise UnsupportedFamilyError(f"no field of order {q} shipped")
+    x = np.arange(q)
+    if q not in (4, 8):
+        return (x[:, None] + x) % q, (x[:, None] * x) % q
+    deg = q.bit_length() - 1
+    modulus = 0b111 if q == 4 else 0b1011
+    mul = np.zeros((q, q), dtype=x.dtype)
+    for bit in range(deg):
+        mul ^= ((x >> bit) & 1) * (x[:, None] << bit)
+    for bit in range(2 * deg - 2, deg - 1, -1):
+        mul ^= ((mul >> bit) & 1) * (modulus << (bit - deg))
+    return x[:, None] ^ x, mul
 
 
 def _incidence_pg2(q: int) -> Graph:
-    """Bipartite point-line incidence graph of the projective plane of order q."""
+    """Bipartite point-line incidence graph of the projective plane of order q.
+
+    Point i lies on line j when their coordinates' dot product over GF(q) is
+    0; the incidence matrix N comes from one lookup in the field's tables,
+    and is checked against the plane axioms as N N^T = qI + J.
+    """
     if q not in PG2_ORDERS:
         raise UnsupportedFamilyError(f"projective plane order must be one of {PG2_ORDERS}, got {q}")
     add, mul = _field(q)
     # Projective points: one representative per line of GF(q)^3, first
     # nonzero coordinate normalized to 1.  Lines use the same coordinates.
-    reps = (
+    reps = np.array(
         [(1, a, b) for a in range(q) for b in range(q)]
         + [(0, 1, c) for c in range(q)]
         + [(0, 0, 1)]
     )
     n = len(reps)
-
-    def incident(pt, ln) -> bool:
-        return add(add(mul(pt[0], ln[0]), mul(pt[1], ln[1])), mul(pt[2], ln[2])) == 0
-
-    lines_on = [[j for j in range(n) if incident(reps[i], reps[j])] for i in range(n)]
-    # Plane axiom: two distinct points lie on exactly one common line.
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = len(set(lines_on[i]) & set(lines_on[j]))
-            if common != 1:
-                raise RuntimeError(f"incidence axiom violated for points {i}, {j}: {common} lines")
-    edges = [(i, n + j) for i in range(n) for j in lines_on[i]]
-    return Graph.from_edges(2 * n, edges)
-
-
-def _perfect_matchings(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    if not elems:
-        yield ()
-        return
-    a = elems[0]
-    for idx in range(1, len(elems)):
-        b = elems[idx]
-        rest = elems[1:idx] + elems[idx + 1 :]
-        for m in _perfect_matchings(rest):
-            yield ((a, b),) + m
+    terms = mul[reps[:, None, :], reps[None, :, :]]
+    incidence = (add[add[terms[..., 0], terms[..., 1]], terms[..., 2]] == 0).astype(np.int64)
+    # Plane axioms: each point on q + 1 lines, two distinct points on exactly one.
+    gram = incidence @ incidence.T
+    bad = np.argwhere(gram != q * np.eye(n, dtype=np.int64) + 1)
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise RuntimeError(f"incidence axiom violated for points {i}, {j}: {gram[i, j]} lines")
+    points, lines = np.nonzero(incidence)
+    return Graph.from_edges(2 * n, zip(points.tolist(), (n + lines).tolist()))
 
 
 def _incidence_gq(q: int) -> Graph:
@@ -223,14 +207,10 @@ def _incidence_gq(q: int) -> Graph:
     """
     if q != 2:
         raise UnsupportedFamilyError(f"only the order-2 generalized quadrangle is shipped, got {q}")
-    duads = list(combinations(range(6), 2))
-    index = {d: i for i, d in enumerate(duads)}
-    synthemes = sorted(_perfect_matchings(tuple(range(6))))
-    edges = []
-    for j, syn in enumerate(synthemes):
-        for pair in syn:
-            edges.append((index[pair], 15 + j))
-    return Graph.from_edges(30, edges)
+    masks = [(1 << a) | (1 << b) for a, b in combinations(range(6), 2)]
+    # three pairs cover the 6-set exactly when they are disjoint
+    synthemes = [s for s in combinations(range(15), 3) if masks[s[0]] | masks[s[1]] | masks[s[2]] == 0b111111]
+    return Graph.from_edges(30, [(d, 15 + j) for j, syn in enumerate(synthemes) for d in syn])
 
 
 _BUILDERS = {

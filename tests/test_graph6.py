@@ -86,6 +86,17 @@ class TestMalformed:
             parse_graph6(b"D~\x1f")
         assert exc.value.offset == 2
 
+    def test_out_of_range_byte_in_size_field(self):
+        # "~" then three size bytes, the second of them bad
+        with pytest.raises(Graph6Error, match="byte 31 outside graph6 range 63..126") as exc:
+            parse_graph6(b"~?\x1f?")
+        assert exc.value.offset == 2
+
+    def test_non_ascii_str(self):
+        with pytest.raises(Graph6Error, match="non-ASCII input") as exc:
+            parse_graph6("D~\u00e9")
+        assert exc.value.offset == 2
+
     def test_nonzero_padding(self):
         # n = 2 uses one bit; the remaining five must be zero
         with pytest.raises(Graph6Error) as exc:

@@ -154,6 +154,8 @@ class TestDistances:
         assert diameter(c_n(7)) == 3
         assert diameter(family("gq:2")) == 4
         assert diameter(family("hoffman_singleton")) == 2
+        with pytest.raises(ValueError, match="nonempty connected"):
+            diameter(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 class TestDistanceRegularity:
@@ -218,6 +220,13 @@ class TestDistanceRegularity:
             IntersectionArray((3, 2), (2, 1))
         with pytest.raises(ValueError):
             IntersectionArray((3, 2), (1,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntersectionArray((3, -1), (1, 1))
+
+    def test_empty_array(self):
+        # K_1: diameter 0, and a_0 = 0
+        assert IntersectionArray((), ()).a == (0,)
+        assert IntersectionArray((), ()).diameter == 0
 
 
 class TestEdgeExpansion:
@@ -255,6 +264,10 @@ class TestEdgeExpansion:
     def test_disconnected_zero(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert edge_expansion(g).h == 0
+
+    def test_one_vertex_rejected(self):
+        with pytest.raises(ValueError, match="at least two vertices"):
+            edge_expansion(Graph.from_edges(1, []))
 
     def test_cap(self):
         from expanderlp import SizeCapError

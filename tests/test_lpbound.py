@@ -98,6 +98,8 @@ class TestDualLP:
             lp_bound_dual(1, (0,))
         with pytest.raises(ValueError):
             lp_bound_dual(3, (1, -2), 0)
+        with pytest.raises(ValueError, match="degree 65 exceeds maximum 64"):
+            lp_bound_dual(3, (1, -2), 65)
 
 
 class TestPrimalLP:
@@ -181,6 +183,11 @@ class TestCheckCertificate:
         assert cert.value_at_k == 50
         assert cert.constant_term == 5
         assert cert.bound == Fraction(10)
+
+    def test_basis_degree_must_match(self):
+        poly = to_sphere_basis(3, from_roots((1, -2, -2)))
+        with pytest.raises(ValueError, match="certificate basis degree 3 differs from k = 4"):
+            check_certificate(4, (1, -2), poly)
 
     def test_exact_data_has_zero_tolerance(self):
         # an exact coefficient just below zero is a violation, not float noise
@@ -289,6 +296,12 @@ class TestCertificateFromSpectrum:
         g = family("cycle:5")
         cert = certificate_from_spectrum(2, spectrum(g).nontrivial)
         assert cert.bound == pytest.approx(5.0, abs=1e-6)
+
+    def test_past_max_degree(self):
+        taus = [Fraction(j, 12) for j in range(-16, 17)]
+        assert len(taus) == 33
+        with pytest.raises(ValueError, match="certificate degree 65 exceeds maximum 64"):
+            certificate_from_spectrum(3, taus)
 
     def test_invalid_for_infeasible_spectrum(self):
         cert = certificate_from_spectrum(3, (2.9,))

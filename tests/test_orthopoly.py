@@ -188,6 +188,12 @@ class TestSphereBasis:
             to_sphere_basis(3, (0,) * 65 + (1,))
         assert to_sphere_basis(3, (0,) * 64 + (1,) + (0,) * 5).degree == 64
 
+    def test_constructor_validates_coefficients(self):
+        with pytest.raises(ValueError, match="coefficient sequence must be nonempty"):
+            SphereBasisPoly(3, ())
+        with pytest.raises(ValueError, match="degree 65 exceeds supported maximum 64"):
+            SphereBasisPoly(3, (1,) * 66)
+
     @given(
         st.integers(2, 7),
         st.lists(st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=60)), min_size=1, max_size=17),
@@ -267,6 +273,10 @@ class TestSphereBasis:
 class TestLinearization:
     def test_s1_squared(self):
         assert linearize_product(3, 1, 1) == (3, 0, 1)
+
+    def test_past_max_degree(self):
+        with pytest.raises(ValueError, match="product degree 70 exceeds supported maximum 64"):
+            linearize_product(3, 40, 30)
 
     def test_symmetry(self):
         for k in (3, 5):

@@ -119,6 +119,6 @@ def test_snapshot_outputs_raise_nothing(monkeypatch, capsys, tmp_path):
         runpy.run_path(str(SNAPSHOT), run_name="__main__")
     assert exit_info.value.code == 0
     outputs = sorted(tmp_path.glob("*.txt"))
-    assert len(outputs) == 167
+    assert len(outputs) == 170
     raised = [p.name for p in outputs if p.read_text().startswith("exit: raised")]
     assert raised == []

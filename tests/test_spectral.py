@@ -167,6 +167,11 @@ class TestSpherePolyMatrix:
         with pytest.raises(ValueError):
             sphere_poly_matrix(Graph.from_edges(3, [(0, 1)]), 2)
 
+    @pytest.mark.parametrize("i", [-1, 65])
+    def test_index_range(self, i):
+        with pytest.raises(ValueError, match="index must lie in 0..64"):
+            sphere_poly_matrix(family("petersen"), i)
+
     def test_large_index_no_overflow(self):
         # entries grow ~ 6^i; i = 40 overflows int64 and must fall back exactly
         g = family("complete:8")
@@ -220,6 +225,8 @@ class TestGirthSpectral:
             girth_spectral(measure(Graph.from_edges(3, [(0, 1)])))
         with pytest.raises(ValueError, match="connected"):
             girth_spectral(measure(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])))
+        with pytest.raises(ValueError, match="graph has no cycle"):
+            girth_spectral(measure(family("complete:2")))
 
     def test_moved_eigenvalue_gives_none(self):
         m = measure(family("petersen"))

@@ -140,12 +140,11 @@ def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationRepor
     the bound is not attained), not-applicable (graph is empty, irregular,
     disconnected, of degree < 2, or its certificate degree 2d - 1 exceeds
     MAX_DEGREE, past which no certificate is built).  Every nonempty graph is
-    measured once, by `measure`, and attainment reads that measurement's
-    degree and spectrum.
+    measured once, by `measure`, and attainment reads that measurement.
     """
     if g.n == 0:
         return _not_applicable(g, None, None, "empty graph")
-    k, girth, diam, array, spec = measure(g, tol_cluster)
+    k, girth, diam, array, spec, _ = m = measure(g, tol_cluster)
     if k is None:
         return _not_applicable(g, None, girth, "graph is not regular")
     if diam is None:
@@ -164,7 +163,7 @@ def certify(g: Graph, tol_cluster: Optional[float] = None) -> CertificationRepor
     cert = attainment = None
     if 2 * d - 1 <= MAX_DEGREE:
         cert = certificate_from_spectrum(k, spec.nontrivial)
-        attainment = check_attainment(g, cert, spec=spec, k=k)
+        attainment = check_attainment(m, cert)
     verdict = VERDICT_CERTIFIED
     reason = None
     if girth < 2 * d:

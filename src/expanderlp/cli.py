@@ -33,6 +33,7 @@ EXIT_ERROR = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_INVALID_CERT = 4
+GENERATE_EDGE_CAP = 1_000_000  # edges of the largest family member `generate` builds
 
 
 def _read_graph(path: str) -> Graph:
@@ -89,7 +90,7 @@ def _fmt_spectrum(entries) -> str:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     g = _read_graph(ns.path)
     # the empty graph has nothing to measure, not even a tolerance to check
-    k, girth, diam, array, spec = measured = measure(g, ns.tol_cluster) if g.n else (None,) * 5
+    k, girth, diam, array, spec, _ = measured = measure(g, ns.tol_cluster) if g.n else (None,) * 6
     connected = diam is not None or not g.n
     theory = k is not None and connected and k >= 2
     info: dict = {
@@ -101,7 +102,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "diameter": diam,
         "spectrum": None if spec is None else [[e, m] for e, m in spec.entries],
         "d": None if spec is None else spec.d,
-        "girth_trace": girth_spectral(measured, ns.tol_cluster) if theory else None,
+        "girth_trace": girth_spectral(measured) if theory else None,
         "spectral_gap": float(k - spec.entries[1][0]) if theory else None,
         "distance_regular": None
         if array is None or not theory
@@ -198,10 +199,15 @@ def cmd_certify(ns: argparse.Namespace) -> int:
 
 def cmd_generate(ns: argparse.Namespace) -> int:
     spec = families.parse_family(ns.family)
-    # the writer's cap, checked before a build whose graph the writer would reject
-    n = families._order(spec)
+    # the caps, checked before a build that the writer would reject or that would not finish
+    n, k = families._order(spec)
     if n > GRAPH6_WRITE_CAP:
         raise SizeCapError(f"graph6 writer capped at {GRAPH6_WRITE_CAP} vertices, {spec} has {n}")
+    if n * k // 2 > GENERATE_EDGE_CAP:
+        raise SizeCapError(
+            f"graph6 writer capped at {GRAPH6_WRITE_CAP} vertices and {GENERATE_EDGE_CAP} edges, "
+            f"{spec} has {n * k // 2} edges"
+        )
     g = families.build(spec)
     # the word's array straight to the binary stream: two writes, so a word
     # near the cap is neither copied to bytes, nor decoded, nor copied to

@@ -235,24 +235,26 @@ def build(spec: FamilySpec) -> Graph:
     return _BUILDERS[spec.name](*spec.params)
 
 
-def _order(spec: FamilySpec) -> int:
-    """Vertex count of build(spec), in closed form, without building it.
+def _order(spec: FamilySpec) -> tuple[int, int]:
+    """Vertex count and degree of build(spec), in closed form, without building it.
 
-    Parameters that build rejects count as 0 where their formula could
+    Parameters that build rejects count as (0, 0) where the formulas could
     exceed any size cap, so that build, not the cap, reports them.
     """
     name, params = spec.name, spec.params
     if name == "kneser":
         n, t = params
-        return math.comb(n, t) if 1 <= t and 2 * t <= n else 0
+        return (math.comb(n, t), math.comb(n - t, t)) if 1 <= t and 2 * t <= n else (0, 0)
     if name == "pg2":
         (q,) = params
-        return 2 * (q * q + q + 1) if q in PG2_ORDERS else 0
+        return (2 * (q * q + q + 1), q + 1) if q in PG2_ORDERS else (0, 0)
     if name == "complete_bipartite":
-        return 2 * params[0]
-    if name in ("cycle", "complete"):
-        return params[0]
-    return {"petersen": 10, "clebsch": 16, "hoffman_singleton": 50, "gq": 30}[name]
+        return (2 * params[0], params[0]) if params[0] >= 1 else (0, 0)
+    if name == "complete":
+        return (params[0], params[0] - 1) if params[0] >= 1 else (0, 0)
+    if name == "cycle":
+        return params[0], 2
+    return {"petersen": (10, 3), "clebsch": (16, 5), "hoffman_singleton": (50, 7), "gq": (30, 3)}[name]
 
 
 def expected_profile(spec: FamilySpec) -> Profile:

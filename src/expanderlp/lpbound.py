@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphcore import Graph, regularity
 from .orthopoly import (
     MAX_DEGREE,
     SphereBasisPoly,
@@ -49,7 +48,7 @@ from .orthopoly import (
     sphere_basis_from_roots,
     sphere_sequence,
 )
-from .spectral import Spectrum, spectrum
+from .spectral import Measurement
 
 __all__ = [
     "ConditionReport",
@@ -537,10 +536,8 @@ class TightnessReport:
     eigenvalue_residuals: tuple
 
 
-def check_attainment(
-    g: Graph, cert: BoundCertificate, spec: Optional[Spectrum] = None, k: Optional[int] = None
-) -> TightnessReport:
-    """Check the equality case of the bound v <= f(k)/f_0 against a concrete graph.
+def check_attainment(m: Measurement, cert: BoundCertificate) -> TightnessReport:
+    """Check the equality case of the bound v <= f(k)/f_0 against a measured graph.
 
     On a connected k-regular graph, tr f(A) = sum_i f_i * tr S_i(A) equals
     f(k) + sum_theta m(theta) * f(theta) over the nontrivial eigenvalues, and
@@ -550,33 +547,25 @@ def check_attainment(
     residual f(theta) is within ATTAINMENT_TOL of 0 and the bound equals v:
     exactly when it is rational, within ATTAINMENT_TOL otherwise.
 
-    spec is the graph's measured spectrum, computed with the default
-    clustering tolerance when not given, so a graph past the size cap is a
-    SizeCapError.  Connectivity is read from it: a regular graph is
-    connected iff k is a simple eigenvalue, and at the default tolerance
-    (at most 1e-8 * 511) the gap k - lambda_2 >= 4/(nD) >= 1.5e-5 of a
-    connected graph inside the cap (Mohar 1991) keeps the two apart.  An
-    irregular or disconnected graph, a degree mismatch or a certificate
-    whose conditions fail makes the certificate inapplicable, reported
-    rather than raised.  k is the graph's common degree as `measure` read
-    it; without it the degree is read from g's neighbour lists.
+    Everything is read from the measurement: k, connectivity (a diameter
+    from the level sweep), the spectrum, and v as the sum of its
+    multiplicities.  An irregular or disconnected graph, a degree mismatch
+    or a certificate whose conditions fail makes the certificate
+    inapplicable, reported rather than raised.
     """
-    if k is None:
-        k = regularity(g)
-    if k is None:
+    if m.k is None:
         return TightnessReport(False, "graph is not regular", False, ())
-    if k != cert.k:
-        return TightnessReport(False, f"certificate k = {cert.k} does not match graph k = {k}", False, ())
-    if spec is None:
-        spec = spectrum(g)
-    if spec.entries[0][1] != 1:
+    if m.k != cert.k:
+        return TightnessReport(False, f"certificate k = {cert.k} does not match graph k = {m.k}", False, ())
+    if m.diameter is None:
         return TightnessReport(False, "graph is not connected", False, ())
     if not cert.conditions.all_ok():
         return TightnessReport(False, "certificate conditions fail", False, ())
-    residuals = tuple(cert.poly(t) for t in spec.nontrivial)
+    residuals = tuple(cert.poly(t) for t in m.spectrum.nontrivial)
+    v = sum(mult for _, mult in m.spectrum.entries)
     if _is_rational(cert.bound):
-        order_ok = cert.bound == g.n
+        order_ok = cert.bound == v
     else:
-        order_ok = abs(cert.bound - g.n) <= ATTAINMENT_TOL
+        order_ok = abs(cert.bound - v) <= ATTAINMENT_TOL
     tight = order_ok and all(abs(r) <= ATTAINMENT_TOL for r in residuals)
     return TightnessReport(True, None, tight, residuals)

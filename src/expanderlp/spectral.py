@@ -57,13 +57,14 @@ class Spectrum:
 
 
 class Measurement(NamedTuple):
-    """What `measure` reads from one nonempty graph."""
+    """What `measure` reads from one nonempty graph, and the tolerance it clustered with."""
 
     k: Optional[int]
     girth: Optional[int]
     diameter: Optional[int]
     array: Optional[IntersectionArray]
     spectrum: Spectrum
+    tol: float
 
 
 def spectrum(g: Graph, tol: Optional[float] = None) -> Spectrum:
@@ -88,10 +89,10 @@ def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
     `eigvalsh` of its adjacency matrix, one value per vertex.
     Eigenvalues whose consecutive gaps are at most tol are merged into one
     entry whose value is the multiplicity-weighted mean of the cluster.
-    Default tol is 1e-8 * max(1, max degree); a negative or non-finite tol
-    is ValueError.  The top eigenvalue of a k-regular graph,
-    connected or not, is exactly k; a tol so wide that the top cluster no
-    longer sits at k is bad input: ValueError.
+    Default tol is 1e-8 * max(1, max degree); the measurement records the
+    tol it used.  A negative or non-finite tol is ValueError.  The top
+    eigenvalue of a k-regular graph, connected or not, is exactly k; a tol
+    so wide that the top cluster no longer sits at k is bad input: ValueError.
     """
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
@@ -122,7 +123,7 @@ def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
         if abs(entries[0][0] - k) > 1e-6:
             raise ValueError("eigensolver sanity check failed: top eigenvalue far from k")
         entries[0] = (float(k), entries[0][1])
-    return Measurement(k, girth, diameter, array, Spectrum(tuple(entries)))
+    return Measurement(k, girth, diameter, array, Spectrum(tuple(entries)), tol)
 
 
 def _array_spectrum(array: IntersectionArray, v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +181,7 @@ def sphere_poly_matrix(g: Graph, i: int) -> np.ndarray:
     return mat.astype(np.int64) if dtype is np.float64 else mat
 
 
-def girth_spectral(m: Measurement, tol: Optional[float] = None) -> Optional[int]:
+def girth_spectral(m: Measurement) -> Optional[int]:
     """Girth of a connected k-regular graph from its measurement, or None.
 
     tr S_i(A) = sum of m(theta) S_i(theta) over the spectrum (Biggs 1974)
@@ -193,7 +194,7 @@ def girth_spectral(m: Measurement, tol: Optional[float] = None) -> Optional[int]
     merged c <= min(m(theta), N - d) of the N values `measure` clustered,
     plus the eigensolver's error (4 N k eps each) and the float rounding.
     When E_i >= i, or t_i is farther than E_i from every integer, the result
-    is None.  tol defaults as in `measure`.
+    is None.  tol is the one `measure` clustered with.
     """
     k, spec = m.k, m.spectrum
     if k is None:
@@ -202,11 +203,10 @@ def girth_spectral(m: Measurement, tol: Optional[float] = None) -> Optional[int]
         raise ValueError("spectral girth requires a connected graph")
     if k < 2:
         raise ValueError("graph has no cycle")
-    tol = 1e-8 * k if tol is None else tol
     theta, mult = np.array(spec.entries).T
     n = int(mult.sum())
     solved = n if m.array is None else len(m.array.a)
-    spread = tol * mult @ (np.minimum(mult, solved - spec.d) - 1) + (mult[0] - 1) * 1e-6
+    spread = m.tol * mult @ (np.minimum(mult, solved - spec.d) - 1) + (mult[0] - 1) * 1e-6
     floor = spread + 16 * n * solved * k * np.finfo(np.float64).eps
     for i, values in islice(enumerate(sphere_sequence(k, theta.clip(-k, k), n)), 1, None):
         bound = i * i * (k - 1) ** (i - 1) * floor

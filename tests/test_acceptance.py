@@ -68,7 +68,7 @@ def test_criterion_1_table_reproduction():
             assert sol.status == "optimal", spec
             assert abs(float(sol.objective) - g.n) <= 1e-6, (spec, sol.objective)
             cert = certificate_from_spectrum(k, sp.nontrivial)
-            rep = check_attainment(g, cert)
+            rep = check_attainment(measure(g), cert)
             assert rep.applicable and rep.tight, (spec, rep.reason)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

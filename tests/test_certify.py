@@ -22,6 +22,7 @@ from expanderlp import (
     build,
     certify,
     check_attainment,
+    measure,
     moore_bound,
     moore_polygon_array,
     parse_family,
@@ -482,8 +483,8 @@ class TestOneDistanceMatrix:
 
     def test_certify_reads_the_degree_once(self, monkeypatch):
         # the sweep reads k; attainment takes it from the measurement
-        lpbound = importlib.import_module("expanderlp.lpbound")
-        monkeypatch.setattr(lpbound, "regularity", lambda g: pytest.fail("degree read twice"))
+        for name in ("expanderlp.graphcore", "expanderlp.spectral"):
+            monkeypatch.setattr(importlib.import_module(name), "regularity", lambda g: pytest.fail("degree read twice"))
         for spec in TABLE_SPECS:
             assert certify(build(spec)).attainment.tight
         prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
@@ -550,7 +551,7 @@ class TestOneSpectrum:
         if report.certificate is None:
             assert report.attainment is None
         else:
-            residuals = check_attainment(g, report.certificate).eigenvalue_residuals
+            residuals = check_attainment(measure(g), report.certificate).eigenvalue_residuals
             assert residuals == report.attainment.eigenvalue_residuals
 
     def test_library_spectrum_takes_intersection_matrix(self, eigensolves):
@@ -611,7 +612,7 @@ class TestTracesFromGirth:
     def test_agrees_with_matrix_pass(self, name):
         g = family(name)
         report = certify(g)
-        assert report.attainment == check_attainment(g, report.certificate, spec=report.spec)
+        assert report.attainment == check_attainment(measure(g), report.certificate)
         products = matrix_trace_products(g, report.certificate)
         residuals = report.attainment.eigenvalue_residuals
         assert report.attainment.tight is all(

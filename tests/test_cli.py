@@ -39,7 +39,11 @@ class TestGenerate:
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("family", ["kneser:26,13", "cycle:100000000", "complete_bipartite:100000"])
+    @pytest.mark.parametrize("family", [
+        "kneser:26,13", "cycle:100000000", "complete_bipartite:100000",
+        # at most 100000 vertices, but billions of edges
+        "complete:100000", "complete_bipartite:50000", "kneser:447,2", "kneser:100000,1",
+    ])
     def test_past_write_cap_is_not_built(self, capsys, monkeypatch, family):
         def unbuilt(spec):
             raise AssertionError(f"{spec} was built")
@@ -48,6 +52,15 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", family)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: graph6 writer capped at {graphcore.GRAPH6_WRITE_CAP} vertices")
+
+    def test_edge_cap_is_inclusive(self, capsys, monkeypatch):
+        # petersen has 15 edges, clebsch 40
+        monkeypatch.setattr(cli, "GENERATE_EDGE_CAP", 15)
+        assert run(capsys, "generate", "petersen")[0] == 0
+        code, out, err = run(capsys, "generate", "clebsch")
+        assert (code, out) == (3, "")
+        cap = graphcore.GRAPH6_WRITE_CAP
+        assert err == f"error: graph6 writer capped at {cap} vertices and 15 edges, clebsch has 40 edges\n"
 
     def test_word_written_once_as_bytes(self, monkeypatch):
         # cycle:20000 has a 33 MB word: generate holds it once and writes it,

@@ -130,12 +130,15 @@ class TestBuildValidation:
     ])
     def test_closed_form_order(self, text):
         spec = parse_family(text)
-        assert families._order(spec) == build(spec).n
+        g = build(spec)
+        assert families._order(spec) == (g.n, regularity(g))
 
-    @pytest.mark.parametrize("text", ["kneser:30,20", "kneser:30,0", "pg2:1000"])
+    @pytest.mark.parametrize("text", [
+        "kneser:30,20", "kneser:30,0", "pg2:1000", "complete:-100000", "complete_bipartite:-100000",
+    ])
     def test_closed_form_order_leaves_rejections_to_build(self, text):
         spec = parse_family(text)
-        assert families._order(spec) == 0
+        assert families._order(spec) == (0, 0)
         with pytest.raises(UnsupportedFamilyError):
             build(spec)
 

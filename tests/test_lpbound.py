@@ -21,6 +21,7 @@ from expanderlp import (
     check_certificate,
     lp_bound_dual,
     lp_bound_primal,
+    measure,
     parse_family,
     sphere_poly,
     spectrum,
@@ -388,7 +389,7 @@ class TestAttainment:
     def test_petersen_tight(self):
         g = family("petersen")
         cert = certificate_from_spectrum(3, (1, -2))
-        rep = check_attainment(g, cert)
+        rep = check_attainment(measure(g), cert)
         assert rep.applicable
         assert rep.tight
         assert rep.eigenvalue_residuals == (0, 0)
@@ -396,24 +397,24 @@ class TestAttainment:
         assert all(p == 0 for p in trace_products(g, cert))
 
     def test_two_petersens_not_connected(self):
-        # k = 3 is a double eigenvalue: the spectrum shows the two components
+        # the level sweep finds no diameter: it never reaches the second component
         g = family("petersen")
         twice = Graph.from_edges(20, [*g.edges(), *((u + 10, v + 10) for u, v in g.edges())])
         cert = certificate_from_spectrum(3, (1, -2))
-        rep = check_attainment(twice, cert)
+        rep = check_attainment(measure(twice), cert)
         assert (rep.applicable, rep.reason, rep.tight) == (False, "graph is not connected", False)
         assert certify(twice).reason == "graph is not connected"
 
     def test_past_cap_is_size_cap_error(self):
-        # a regular graph whose degree matches is measured, and the eigensolver is capped
+        # attainment reads a measurement, and measuring is capped
         cycle = Graph.from_edges(600, [(i, (i + 1) % 600) for i in range(600)])
         with pytest.raises(SizeCapError, match="capped at 512 vertices"):
-            check_attainment(cycle, certificate_from_spectrum(2, (0,)))
+            check_attainment(measure(cycle), certificate_from_spectrum(2, (0,)))
 
     def test_k_mismatch(self):
         g = family("cycle:6")
         cert = certificate_from_spectrum(3, (1, -2))
-        rep = check_attainment(g, cert)
+        rep = check_attainment(measure(g), cert)
         assert not rep.applicable
         assert "does not match" in rep.reason
 
@@ -425,7 +426,7 @@ class TestAttainment:
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
         )
         cert = certificate_from_spectrum(3, (1, -2))
-        rep = check_attainment(prism, cert)
+        rep = check_attainment(measure(prism), cert)
         assert rep.applicable
         assert not rep.tight
 
@@ -439,7 +440,7 @@ class TestAttainment:
         # K_{3,3} data bounds v by 6; Heawood has 14 vertices and fails
         g = family("pg2:2")
         cert = certificate_from_spectrum(3, (0, -3))
-        rep = check_attainment(g, cert)
+        rep = check_attainment(measure(g), cert)
         assert rep.applicable
         assert not rep.tight
 
@@ -451,18 +452,18 @@ class TestAttainment:
         ],
     )
     def test_irregular_not_applicable(self, g):
-        # without a measured degree, check_attainment reads it from g
-        rep = check_attainment(g, certificate_from_spectrum(3, (1, -2)))
+        # an irregular graph's measurement has no degree
+        rep = check_attainment(measure(g), certificate_from_spectrum(3, (1, -2)))
         assert (rep.applicable, rep.reason, rep.tight) == (False, "graph is not regular", False)
 
-    def test_measured_degree_is_used(self, monkeypatch):
-        # with k given, the neighbour lists are not read for it
-        g = family("petersen")
+    def test_measured_degree_is_used(self):
+        # k is the measurement's, not read again from a graph
+        m = measure(family("petersen"))
         cert = certificate_from_spectrum(3, (1, -2))
-        want = check_attainment(g, cert)
-        monkeypatch.setattr(lpbound, "regularity", lambda g: pytest.fail("degree read twice"))
-        assert check_attainment(g, cert, k=3) == want
-        rep = check_attainment(g, cert, k=4)
+        want = check_attainment(m, cert)
+        assert want.tight
+        assert check_attainment(m._replace(k=3), cert) == want
+        rep = check_attainment(m._replace(k=4), cert)
         assert (rep.applicable, rep.reason) == (False, "certificate k = 3 does not match graph k = 4")
 
 
@@ -480,13 +481,14 @@ def test_tight_is_the_trace_condition(g):
     # tight iff f vanishes at every nontrivial eigenvalue and every
     # f_i * tr S_i(A) is 0, the traces counted walk by walk
     k = len(g.neighbors[0])
-    nontrivial = spectrum(g).nontrivial
+    m = measure(g)
+    nontrivial = m.spectrum.nontrivial
     certs = [certificate_from_spectrum(k, nontrivial)]
     if all(abs(t - round(t)) < 1e-9 for t in nontrivial):
         certs.append(certificate_from_spectrum(k, [round(t) for t in nontrivial]))
     certs += [certificate_from_spectrum(k, taus) for taus in ((1, -2), (0, -3))]
     for cert in certs:
-        rep = check_attainment(g, cert)
+        rep = check_attainment(m, cert)
         if not cert.conditions.all_ok():
             assert (rep.applicable, rep.reason, rep.tight) == (False, "certificate conditions fail", False)
             continue

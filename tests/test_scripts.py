@@ -1,6 +1,7 @@
 import random
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from expanderlp.enumeration import BLOCK_ROWS, connected_cubic_masks
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SCAN = SCRIPTS / "scan_cubic10.py"
 SNAPSHOT = SCRIPTS / "snapshot_outputs.py"
+LINE_COVERAGE = SCRIPTS / "line_coverage.py"
 
 
 def run_scan(monkeypatch, capsys, progress: int) -> list[str]:
@@ -122,3 +124,28 @@ def test_snapshot_outputs_raise_nothing(monkeypatch, capsys, tmp_path):
     assert len(outputs) == 170
     raised = [p.name for p in outputs if p.read_text().startswith("exit: raised")]
     assert raised == []
+
+
+def line_of(module: str, text: str) -> str:
+    """`src/expanderlp/<module>.py:<n>` for the one line of the module that is text."""
+    path = SCRIPTS.parent / "src" / "expanderlp" / f"{module}.py"
+    (n,) = [i for i, line in enumerate(path.read_text().splitlines(), 1) if line.strip() == text]
+    return f"src/expanderlp/{module}.py:{n}"
+
+
+def test_line_coverage_lists_unrun_lines():
+    # README's example certifies Petersen and checks its attainment; the
+    # __main__ guard runs only when the module is a script
+    done = subprocess.run(
+        [sys.executable, str(LINE_COVERAGE), "-q", "-p", "no:cacheprovider", "tests/test_readme.py"],
+        cwd=SCRIPTS.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    summary = re.fullmatch(r"(\d+) of (\d+) executable lines in src/expanderlp never ran", lines[-1])
+    assert summary and 0 < int(summary[1]) < int(summary[2])
+    unrun = [line for line in lines if line.startswith("src/")]
+    assert len(unrun) == int(summary[1])
+    assert all(re.fullmatch(r"src/expanderlp/\w+\.py:\d+", line) for line in unrun)
+    assert line_of("cli", "sys.exit(main())") in unrun
+    assert line_of("lpbound", "return TightnessReport(True, None, tight, residuals)") not in unrun

@@ -11,6 +11,7 @@ from expanderlp import (
     SizeCapError,
     build,
     certify,
+    check_attainment,
     girth_bfs,
     girth_spectral,
     is_distance_regular,
@@ -20,7 +21,7 @@ from expanderlp import (
     spectrum,
     sphere_sequence,
 )
-from expanderlp.enumeration import random_regular_graph
+from expanderlp.enumeration import random_connected_regular, random_regular_graph
 from expanderlp.spectral import Spectrum, _array_spectrum, measure
 from oracles import eigenvalue_clusters, walk_count_matrix
 
@@ -238,10 +239,45 @@ class TestGirthSpectral:
     @pytest.mark.parametrize("name", ["pg2:8", "kneser:7,2"])
     def test_wide_tolerance_gives_none(self, name):
         # tol 6.0 merges pg2:8's +-2*sqrt(2) into 0^144 and kneser:7,2's 1 and -4
-        # into -0.5^20; summed naively those spectra give girth 2
+        # into -0.5^20; summed naively those spectra give girth 2.  The error
+        # bound reads the tolerance from the measurement
         g = family(name)
-        assert girth_spectral(measure(g, 6.0), 6.0) is None
+        wide = measure(g, 6.0)
+        assert wide.tol == 6.0
+        assert girth_spectral(wide) is None
         assert girth_spectral(measure(g)) == girth_bfs(g)
+
+    def test_measurement_records_default_tolerance(self):
+        # 1e-8 * max(1, max degree) when no tolerance is given
+        assert measure(family("petersen")).tol == 1e-8 * 3
+        assert measure(Graph.from_edges(3, [(0, 1)])).tol == 1e-8
+        assert measure(family("petersen"), 0.0).tol == 0.0
+
+
+@st.composite
+def measured_graphs(draw):
+    """Random connected k-regular graphs, 2 <= k <= 5, on at most 24 vertices, and the named families."""
+    if draw(st.booleans()):
+        return family(draw(st.sampled_from([str(s) for s in TABLE_SPECS] + ["pg2:7", "pg2:8"])))
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k + 1, 24).filter(lambda n: n * k % 2 == 0))
+    return random_connected_regular(n, k, random.Random(draw(st.integers(0, 2**31 - 1))))
+
+
+@given(g=measured_graphs(), tol=st.sampled_from([None, 1e-3, 0.5, 1.0, 6.0]))
+@example(g=family("pg2:8"), tol=6.0)  # read at the default tolerance, these traces give girth 4
+@settings(max_examples=80, deadline=None)
+def test_readers_take_the_measurement_whole(g, tol):
+    # girth_spectral and check_attainment read the tolerance, degree,
+    # connectivity and order that measure took, so no reader contradicts it
+    try:
+        m = measure(g, tol)
+    except ValueError:
+        assume(False)
+    assert girth_spectral(m) in (None, girth_bfs(g))
+    r = certify(g, tol)
+    if r.certificate is not None:
+        assert check_attainment(m, r.certificate) == r.attainment
 
 
 class TestHoffmanDecomposition:

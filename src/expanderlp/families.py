@@ -254,7 +254,9 @@ def _order(spec: FamilySpec) -> tuple[int, int]:
         return (params[0], params[0] - 1) if params[0] >= 1 else (0, 0)
     if name == "cycle":
         return params[0], 2
-    return {"petersen": (10, 3), "clebsch": (16, 5), "hoffman_singleton": (50, 7), "gq": (30, 3)}[name]
+    if name == "gq":
+        return (30, 3) if params == (2,) else (0, 0)
+    return {"petersen": (10, 3), "clebsch": (16, 5), "hoffman_singleton": (50, 7)}[name]
 
 
 def expected_profile(spec: FamilySpec) -> Profile:

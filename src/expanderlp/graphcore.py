@@ -1,16 +1,15 @@
 """Simple undirected graphs: graph6 serialization and combinatorial metrics.
 
-Girth, distances, diameter and distance-regularity all come from one
-all-sources level sweep, `_level_sweep`, over bit-packed rows: level l
-holds, for every vertex y, the sources at distance l from y, one bit per
-source in uint64 words, and each level costs one gather and OR per
-neighbour slot (the multi-source bit-parallel BFS of Then et al., "The More
-the Merrier", VLDB 2014).  The intersection array is proved on the same
-packed levels: below the girth every ball is a tree, so c_i = 1 and
-a_i = 0 hold for every pair without counting, and from the girth on the
-gathered rows are summed in bit-sliced counters.  The distances stay packed
-as ceil(log2(D + 1)) bit-planes; the n x n int16 matrix is unpacked only
-by `all_pairs_distances`.
+Girth, diameter and distance-regularity all come from one all-sources
+level sweep, `_level_sweep`, over bit-packed rows: level l holds, for every
+vertex y, the sources at distance l from y, one bit per source in uint64
+words, and each level costs one gather and OR per neighbour slot (the
+multi-source bit-parallel BFS of Then et al., "The More the Merrier", VLDB
+2014).  The intersection array is proved on the same packed levels: below
+the girth every ball is a tree, so c_i = 1 and a_i = 0 hold for every pair
+without counting, and from the girth on the gathered rows are summed in
+bit-sliced counters.  The sweep keeps no distances: `all_pairs_distances`
+runs one breadth-first search per source, and `is_connected` one.
 """
 
 from __future__ import annotations
@@ -214,21 +213,22 @@ def regularity(g: Graph) -> Optional[int]:
     return degs.pop() if len(degs) == 1 else None
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
+def _bfs(g: Graph, source: int) -> list[int]:
+    """Distances from source by breadth-first search; -1 marks the vertices it does not reach."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
     while queue:
         u = queue.popleft()
         for v in g.neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
                 queue.append(v)
-    return count == g.n
+    return dist
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n == 0 or -1 not in _bfs(g, 0)
 
 
 def girth_bfs(g: Graph) -> Optional[int]:
@@ -241,8 +241,11 @@ def girth_bfs(g: Graph) -> Optional[int]:
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Distance matrix by the all-sources level sweep; -1 marks unreachable pairs."""
-    return _level_sweep(g).distances()
+    """n x n int16 distances (int32 from 2**15 vertices on) by one BFS per source; -1 marks unreachable pairs."""
+    dist = np.empty((g.n, g.n), dtype=np.int16 if g.n < 2**15 else np.int32)
+    for s in range(g.n):
+        dist[s] = _bfs(g, s)
+    return dist
 
 
 def diameter(g: Graph) -> int:
@@ -310,9 +313,7 @@ class _Sweep(NamedTuple):
     """What one `_level_sweep` reads from a graph.
 
     k is the common degree (None if irregular) and width the largest; the
-    diameter is None when the graph is disconnected.  planes[b] holds bit b
-    of every reached distance and unseen the unreached pairs, packed as the
-    levels are; `distances` unpacks them into the matrix.
+    diameter is None when the graph is disconnected.
     """
 
     k: Optional[int]
@@ -320,24 +321,6 @@ class _Sweep(NamedTuple):
     girth: Optional[int]
     diameter: Optional[int]
     array: Optional[IntersectionArray]
-    planes: tuple[np.ndarray, ...]
-    unseen: np.ndarray
-
-    def distances(self) -> np.ndarray:
-        """n x n int16 distances (int32 from 2**15 vertices on), -1 for unreachable pairs."""
-        n = self.unseen.shape[0]
-        dist = np.zeros((n, n), dtype=np.int16 if n < 2**15 else np.int32)
-        for plane in reversed(self.planes):
-            dist <<= 1
-            dist |= _unpack(plane, n)
-        if self.diameter is None:
-            dist[_unpack(self.unseen, n).view(bool)] = -1
-        return dist
-
-
-def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
-    """The first n bits of each packed row, one uint8 per bit: bit x of a row is bit x % 8 of its byte x // 8."""
-    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def _bit_sum(rows: np.ndarray) -> list[np.ndarray]:
@@ -350,7 +333,7 @@ def _bit_sum(rows: np.ndarray) -> list[np.ndarray]:
     for j, row in enumerate(rows[1:], 2):
         carry = row
         for b, plane in enumerate(sums):
-            if b + 1 == j.bit_length():  # j rows fit in these planes: no carry out
+            if b + 1 == j.bit_length():  # j rows fit in b + 1 bits: no carry out
                 plane ^= carry
                 break
             nxt = plane & carry
@@ -372,7 +355,7 @@ def _common_sum(sums: list[np.ndarray], pairs: np.ndarray) -> Optional[int]:
 
 
 def _level_sweep(g: Graph) -> _Sweep:
-    """Degree, girth, diameter, intersection array and packed distances from one all-sources level sweep.
+    """Degree, girth, diameter and intersection array from one all-sources level sweep.
 
     Every set of sources is a packed row, one bit per vertex in uint64
     words (bit x of a row is bit x % 8 of its byte x // 8).  level[y] holds
@@ -398,16 +381,12 @@ def _level_sweep(g: Graph) -> _Sweep:
     on those of level l.  Below the girth every ball of radius l is a tree,
     and the girth tests say so for every pair at once: no once & level
     means a_l = 0, no twice & new means c_{l+1} = 1.  From the step that
-    finds the girth on, the rows are summed into ceil(log2(k + 1))
-    bit-sliced counter planes (`_bit_sum`), and every pair of a level must
+    finds the girth on, the rows are summed into bit-sliced counters of
+    ceil(log2(k + 1)) bits (`_bit_sum`), and every pair of a level must
     have the sum of one of them (`_common_sum`).  The first pair that
     differs ends the counting and the array is None, while the sweep goes
     on for the diameter.  Since b_l = k - c_l - a_l, equal c and a on every
     level of a connected regular graph is distance-regularity.
-
-    The distances are kept as bit-planes, plane b holding the pairs whose
-    distance has bit b set: ceil(log2(D + 1)) packed n x n bit matrices.
-    No n x n integer matrix is formed here; `_Sweep.distances` unpacks one.
     """
     n = g.n
     tails, heads = _arcs(g)
@@ -422,7 +401,6 @@ def _level_sweep(g: Graph) -> _Sweep:
     level = np.zeros((n + 1, words), dtype=np.uint64)  # level 0 is x = y
     level.view(np.uint8)[np.arange(n), np.arange(n) // 8] = 1 << np.arange(n) % 8
     unseen = np.packbits(np.arange(64 * words) < n, bitorder="little").view(np.uint64) ^ level[:n]
-    planes: list[np.ndarray] = []
     girth = None
     # a_0..a_l and c_1..c_{l+1} while the pairs of every level have agreed;
     # c is None for an irregular graph and from the first disagreement on
@@ -461,18 +439,13 @@ def _level_sweep(g: Graph) -> _Sweep:
             break
         unseen ^= new
         ell += 1
-        if ell == 1 << len(planes):
-            planes.append(np.zeros((n, words), dtype=np.uint64))
-        for b, plane in enumerate(planes):
-            if ell >> b & 1:
-                plane |= new
         level = once
     diam = None if unseen.any() else ell
     array = None
     if c is not None and diam is not None:
         b = [k - ci - ai for ci, ai in zip([0] + c, a)]
         array = IntersectionArray(tuple(b[:ell]), tuple(c[:ell]))
-    return _Sweep(k, width, girth, diam, array, tuple(planes), unseen)
+    return _Sweep(k, width, girth, diam, array)
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,11 @@ def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
     The first four are None when the graph is irregular, acyclic,
     disconnected or not distance-regular.  A graph past the spectral size
     cap is a SizeCapError before any O(n^2) work; one `_level_sweep` then
-    gives degree, girth, diameter and array from packed BFS levels, and its
-    packed distances are freed before the eigensolve.  No n x n distance
-    matrix is formed for any graph: below the girth the array's c_i = 1
-    and a_i = 0 follow from the girth tests themselves, and from the girth
-    on they are counted on the packed levels.
+    gives degree, girth, diameter and array from packed BFS levels, and
+    keeps no distances.  No n x n distance matrix is formed for any graph:
+    below the girth the array's c_i = 1 and a_i = 0 follow from the girth
+    tests themselves, and from the girth on they are counted on the packed
+    levels.
     With an array of degree k >= 2 the graph is distance-regular, and its
     D + 1 distinct eigenvalues and their multiplicities come from the array
     (`_array_spectrum`), with no n x n eigensolve; every other graph takes
@@ -100,11 +100,9 @@ def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
         raise SizeCapError(f"eigensolver capped at {SPECTRAL_SIZE_CAP} vertices, got {g.n}")
     if tol is not None and not 0 <= tol < np.inf:
         raise ValueError(f"cluster tolerance must be finite and nonnegative, got {tol}")
-    sweep = _level_sweep(g)
-    k, girth, diameter, array = sweep.k, sweep.girth, sweep.diameter, sweep.array
+    k, width, girth, diameter, array = _level_sweep(g)
     if tol is None:
-        tol = 1e-8 * max(1, sweep.width)
-    del sweep  # its packed distances go before any eigensolve
+        tol = 1e-8 * max(1, width)
     if array is not None and k >= 2:
         eig, mult = _array_spectrum(array, g.n)
     else:
@@ -121,7 +119,7 @@ def measure(g: Graph, tol: Optional[float] = None) -> Measurement:
             entries.append((float((eig[start:stop] * m).sum() / m.sum()), int(m.sum())))
     if k is not None:
         if abs(entries[0][0] - k) > 1e-6:
-            raise ValueError("eigensolver sanity check failed: top eigenvalue far from k")
+            raise ValueError(f"cluster tolerance {tol} puts the top eigenvalue at {entries[0][0]:.6g}, not k = {k}")
         entries[0] = (float(k), entries[0][1])
     return Measurement(k, girth, diameter, array, Spectrum(tuple(entries)), tol)
 

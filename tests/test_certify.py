@@ -476,7 +476,8 @@ class TestOneDistanceMatrix:
         # girth, diameter and array all come from the packed levels
         graphcore = importlib.import_module("expanderlp.graphcore")
         spectral = importlib.import_module("expanderlp.spectral")
-        monkeypatch.setattr(graphcore._Sweep, "distances", lambda self: pytest.fail("distances unpacked"))
+        for attr in ("all_pairs_distances", "_bfs"):
+            monkeypatch.setattr(graphcore, attr, lambda *args: pytest.fail("distances formed"))
         g = family(name)
         assert spectral.measure(g).array is not None
         assert certify(g).intersection_array is not None

@@ -351,6 +351,7 @@ class TestBoundContract:
     @example(k=3, tokens=["-1" + "0" * 200 + "/3", "1"], as_json=False)
     @example(k=3, tokens=["-1" + "0" * 250, "-2" + "0" * 250, "-1e300"], as_json=True)
     @example(k=2, tokens=["-2.225073858507203e-309"], as_json=False)
+    @example(k=3, tokens=["1", "", "-2"], as_json=False)
     @settings(max_examples=40, deadline=5000)
     def test_exit_code_never_raises(self, method, k, tokens, as_json):
         argv = ["bound", "--k", str(k), f"--eigenvalues={','.join(tokens)}", "--method", method]
@@ -451,7 +452,8 @@ class TestBadTolerance:
         code, out, err = run(capsys, *argv, str(path))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: eigensolver sanity check failed")
+        assert err.startswith("error: cluster tolerance 1.3 puts the top eigenvalue at 1.49")
+        assert err.rstrip().endswith("not k = 2")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["certify", "analyze"])

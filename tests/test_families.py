@@ -135,6 +135,7 @@ class TestBuildValidation:
 
     @pytest.mark.parametrize("text", [
         "kneser:30,20", "kneser:30,0", "pg2:1000", "complete:-100000", "complete_bipartite:-100000",
+        "gq:3", "gq:0",
     ])
     def test_closed_form_order_leaves_rejections_to_build(self, text):
         spec = parse_family(text)

@@ -375,7 +375,11 @@ def boundary_graphs(draw):
 @settings(max_examples=120, deadline=None)
 def test_sweep_at_packing_boundaries(g):
     dist = all_pairs_distances(g)
-    assert (dist == bfs_distances(g)).all()
+    want = bfs_distances(g)
+    assert (dist == want).all()
+    sweep = _level_sweep(g)
+    assert sweep.diameter == (None if (want < 0).any() else want.max())
+    assert is_connected(g) == (sweep.diameter is not None)
     assert girth_bfs(g) == girth_brute(g)
     if regularity(g) is None or (dist < 0).any():
         with pytest.raises(ValueError):
@@ -408,15 +412,16 @@ def sweep_peak(g):
 
 
 def test_sweep_memory():
-    # the packed sweep forms no n x n integer matrix and no n^2-entry index
-    # array, whether the graph is distance-regular or not.  On a random cubic
-    # graph, a sweep over unpacked int16 distances, down/same counts and int64
-    # girth gathers peaked at 3.8 MB
+    # the packed sweep forms no n x n integer matrix, no n^2-entry index
+    # array and no distance bit-planes, whether the graph is
+    # distance-regular or not.  On a random cubic graph, a sweep over
+    # unpacked int16 distances, down/same counts and int64 girth gathers
+    # peaked at 3.8 MB, and one that kept packed distance bit-planes at 604 KB
     peak, sweep = sweep_peak(random_regular_graph(512, 3, random.Random(1)))
     assert sweep.array is None
-    assert peak < 3_000_000
+    assert peak < 550_000
     # on cycle:512, counting c and a over the unpacked int16 distances peaked
-    # at 2.5 MB
+    # at 2.5 MB, and keeping packed distance bit-planes at 697 KB
     peak, sweep = sweep_peak(c_n(512))
     assert sweep.array is not None
-    assert peak < 1_000_000
+    assert peak < 500_000

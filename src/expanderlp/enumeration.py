@@ -17,10 +17,13 @@ starts.  So the leaves come out in depth-first order.
 
 The recursion stops TAIL_EDGES edges above the leaves.  There a state's
 completions depend only on its residual, made of its degree row and the
-least partner its next edge may take (see connected_cubic_masks), and many
+least partner its next edge may take (see cubic_masks), and many
 states share one: at n = 10, 35,815 states have 1250 distinct residuals.
 Each residual is completed once, and its completions are kept as XOR
 deltas that every state with that residual ORs onto its masks.
+
+cubic_masks yields every completion, connected or not; connected_cubic_masks
+filters its blocks for connectivity and regroups them into full blocks.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .graphcore import Graph, is_connected
 __all__ = [
     "random_regular_graph",
     "random_connected_regular",
+    "cubic_masks",
     "connected_cubic_masks",
     "connected_cubic_graphs",
 ]
@@ -52,14 +56,15 @@ MAX_PAIRINGS = 50_000
 # this budget fails with probability about e^-116.
 MAX_DRAWS = 1000
 
-# Rows per block that connected_cubic_masks yields; every chunk it expands
-# has BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows, or all of a shorter run of
-# children.  It caps the peak memory of the cubic-10 scan, whose largest array
-# is a block's float32 stack of 10 x 10 adjacency matrices and their powers:
-# 1024 rows take 400 KB per power.
+# Rows per block that connected_cubic_masks yields, and the most that
+# cubic_masks yields; every chunk they expand has BLOCK_ROWS to
+# 2 * BLOCK_ROWS - 1 rows, or all of a shorter run of children.  It caps
+# the peak memory of the cubic-10 scan, whose largest arrays are a block's
+# float32 stack of 10 x 10 adjacency matrices and their powers: 1024 rows
+# take 400 KB per power.
 BLOCK_ROWS = 1024
 
-# Edges left to add when connected_cubic_masks stops descending and completes
+# Edges left to add when cubic_masks stops descending and completes
 # each state from its residual.  At n = 10 the memo then holds 1250
 # residuals with 2995 completions (60 KB), and _children sees 38,732 rows
 # instead of the 888,542 of a descent to the leaves.
@@ -225,7 +230,7 @@ class _Tails:
         self.deltas = np.concatenate(parts)
 
     def complete(self, states: np.ndarray) -> Iterator[np.ndarray]:
-        """The connected completions of the states, in order, BLOCK_ROWS candidates at a time."""
+        """The completions of the states, in order, BLOCK_ROWS at a time."""
         slot = self.slots(states)  # before reading spans, which it may extend
         start, count = self.spans[slot].T
         ends = np.cumsum(count)
@@ -234,16 +239,16 @@ class _Tails:
         for lo in range(0, int(ends[-1]), BLOCK_ROWS):
             i = np.arange(lo, min(lo + BLOCK_ROWS, int(ends[-1])))
             state = np.searchsorted(ends, i, side="right")
-            leaves = states[state] | self.deltas[i + shift[state]]
-            yield leaves[_connected(leaves)]
+            yield states[state] | self.deltas[i + shift[state]]
 
 
-def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
-    """The graphs of connected_cubic_graphs(n), in its order, as mask blocks.
+def cubic_masks(n: int) -> Iterator[np.ndarray]:
+    """Every cubic graph on n vertices with N(0) = {1, 2, 3}, connected or not, as mask blocks.
 
-    Yields uint16 arrays of shape (B, n) whose row holds one graph: bit w of
-    entry u is set when u and w are adjacent.  Every block has B = BLOCK_ROWS
-    rows but the last, which has 1 to BLOCK_ROWS.
+    Yields uint16 arrays of shape (B, n), 1 <= B <= BLOCK_ROWS, whose row
+    holds one graph: bit w of entry u is set when u and w are adjacent.  The
+    rows come in depth-first order.  Blocks are cut per chunk of states, so
+    the last block of each chunk may be short.
 
     _descend takes the root to the states TAIL_EDGES edges above the leaves,
     a chunk at a time, and _Tails completes each state from its residual:
@@ -256,10 +261,8 @@ def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
     above u, and each neighbour of u' was joined to it as the first
     unsaturated vertex of its time, so lies at or below u: the child's t is
     u' + 1.  So by induction on the edges left, the residual fixes which
-    edges each completion adds, and in what order.
-
-    The completions are tested for connectivity BLOCK_ROWS at a time and
-    regrouped into blocks.  The memo lives in this call only.
+    edges each completion adds, and in what order.  The memo lives in this
+    call only.
     """
     _check_cubic_order(n)
     masks = np.zeros((1, n), dtype=np.uint16)
@@ -267,13 +270,27 @@ def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
     masks[0, 1:4] = 1
     leaf_depth = 3 * n // 2 - 3
     tails = _Tails(n, min(TAIL_EDGES, leaf_depth))
-    pending = masks[:0]
     for states, _ in _descend(masks, leaf_depth - tails.edges):
-        for leaves in tails.complete(states):
-            pending = np.concatenate([pending, leaves])
-            while len(pending) >= BLOCK_ROWS:
-                yield pending[:BLOCK_ROWS]
-                pending = pending[BLOCK_ROWS:]
+        yield from tails.complete(states)
+
+
+def connected_cubic_masks(n: int) -> Iterator[np.ndarray]:
+    """The graphs of connected_cubic_graphs(n), in its order, as mask blocks.
+
+    The connected rows of cubic_masks(n), in its order and in its mask
+    layout, regrouped so that every block has B = BLOCK_ROWS rows but the
+    last, which has 1 to BLOCK_ROWS.  The connectivity filter sits here,
+    above the one enumeration, so a caller that can decide connectivity
+    more cheaply (as the cubic-10 scan does, once per spectrum) reads
+    cubic_masks instead.
+    """
+    _check_cubic_order(n)
+    pending = np.zeros((0, n), dtype=np.uint16)
+    for leaves in cubic_masks(n):
+        pending = np.concatenate([pending, leaves[_connected(leaves)]])
+        while len(pending) >= BLOCK_ROWS:
+            yield pending[:BLOCK_ROWS]
+            pending = pending[BLOCK_ROWS:]
     if len(pending):
         yield pending
 

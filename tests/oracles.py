@@ -93,6 +93,21 @@ def bfs_distances(g: Graph) -> np.ndarray:
     return dist
 
 
+def masks_connected(masks: np.ndarray) -> np.ndarray:
+    """Whether each row of neighbour bitmasks is a connected graph, by a plain BFS from vertex 0."""
+    full = (1 << masks.shape[1]) - 1
+    connected = []
+    for row in masks.tolist():
+        seen, queue = 1, deque([0])
+        while queue:
+            fresh = row[queue.popleft()] & ~seen
+            seen |= fresh
+            while fresh:
+                queue.append((fresh & -fresh).bit_length() - 1)
+                fresh &= fresh - 1
+        connected.append(seen == full)
+    return np.array(connected, dtype=bool)
+
 def girth_brute(g: Graph):
     """Shortest cycle length, or None if acyclic: for each edge uv, 1 + the shortest u-v path without uv."""
     best = None

@@ -14,10 +14,11 @@ from expanderlp.enumeration import (
     MAX_PAIRINGS,
     connected_cubic_graphs,
     connected_cubic_masks,
+    cubic_masks,
     random_connected_regular,
     random_regular_graph,
 )
-from oracles import cubic_graphs_brute, cubic_graphs_dfs
+from oracles import cubic_graphs_brute, cubic_graphs_dfs, masks_connected
 
 dfs_graphs = functools.cache(lambda n: list(cubic_graphs_dfs(n)))
 
@@ -219,3 +220,28 @@ class TestExhaustiveCubic:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestCubicMasks:
+    @pytest.mark.parametrize("n, removed", [(4, 0), (6, 0), (8, 1), (10, 175)])
+    def test_connected_rows_are_connected_cubic_masks(self, n, removed):
+        blocks = list(cubic_masks(n))
+        assert all(b.dtype == np.uint16 and b.ndim == 2 and b.shape[1] == n for b in blocks)
+        assert all(1 <= len(b) <= enumeration.BLOCK_ROWS for b in blocks)
+        rows = np.concatenate(blocks)
+        connected = masks_connected(rows)
+        assert np.count_nonzero(~connected) == removed
+        assert np.array_equal(rows[connected], np.concatenate(list(connected_cubic_masks(n))))
+
+    def test_n8_removes_two_k4(self):
+        rows = np.concatenate(list(cubic_masks(8)))
+        k4 = [(u, w) for u in range(4) for w in range(u + 1, 4)]
+        two_k4 = Graph.from_edges(8, k4 + [(u + 4, w + 4) for u, w in k4])
+        assert decode(8, [rows[~masks_connected(rows)]]) == [two_k4]
+
+    def test_short_blocks(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "BLOCK_ROWS", 7)
+        blocks = list(cubic_masks(8))
+        assert all(1 <= len(b) <= 7 for b in blocks)
+        rows = np.concatenate(blocks)
+        assert decode(8, [rows[masks_connected(rows)]]) == dfs_graphs(8)

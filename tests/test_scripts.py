@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from expanderlp import FamilySpec, build
-from expanderlp.enumeration import BLOCK_ROWS, connected_cubic_masks
+from expanderlp.enumeration import BLOCK_ROWS, connected_cubic_masks, cubic_masks
+from oracles import masks_connected
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SCAN = SCRIPTS / "scan_cubic10.py"
@@ -76,6 +77,37 @@ def test_walk_keys_exact_in_float32_at_n10():
         assert stack.dtype == np.float32
         assert np.array_equal(walk_keys(stack), exact_walk_keys(stack))
 
+
+
+@pytest.mark.parametrize("n, disconnected", [(8, 1), (10, 2)])
+def test_walk_keys_fix_connectivity(n, disconnected):
+    # the scan decides connectivity once per key, on the key's first graph
+    masks = np.concatenate(list(cubic_masks(n)))
+    keys = np.concatenate([walk_keys(adjacency(block)) for block in cubic_masks(n)])
+    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    per_key = {}
+    for key, connected in zip(inverse.ravel().tolist(), masks_connected(masks).tolist()):
+        per_key.setdefault(key, set()).add(connected)
+    assert all(len(kinds) == 1 for kinds in per_key.values())
+    assert list(per_key.values()).count({False}) == disconnected
+
+
+def test_scan_cubic10_fingerprint_collision_raises(monkeypatch):
+    main = runpy.run_path(str(SCAN))["main"]
+    monkeypatch.setitem(main.__globals__, "WEIGHTS", (0,) * 8)
+    monkeypatch.setattr(sys, "argv", [str(SCAN), "--progress", "0"])
+    with pytest.raises(RuntimeError, match="fingerprint"):
+        main()
+
+
+def test_scan_cubic10_rejects_negative_progress(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(SCAN), "--progress", "-5"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCAN), run_name="__main__")
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--progress must be 0 or more, got -5" in captured.err
+    assert captured.out == ""
 
 def test_scan_cubic10_finds_certified_petersen(monkeypatch, capsys):
     eigvalsh = np.linalg.eigvalsh
